@@ -353,13 +353,11 @@ pub fn cudagraphs() -> Value {
 
 /// §5.1 on the CPU: replayable execution graphs for the coupled step.
 ///
-/// Three layers of the same optimization, measured for real:
+/// Two layers of the same optimization, measured for real:
 /// * the dace-mini dycore frozen into an [`dace_mini::ExecGraph`], with
 ///   the static cost model's dispatch prediction asserted against the
 ///   measured `ExecStats`;
-/// * the land model's kernel launches, individual vs graph replay;
-/// * the full `CoupledEsm` window record/replay, bitwise-checked against
-///   the eager driver.
+/// * the land model's kernel launches, individual vs graph replay.
 pub fn graph_replay() -> Value {
     use dace_mini::{cost, exec, suite, transforms, ExecGraph, Sdfg};
     println!("\n== Graph replay: recorded execution graphs for the coupled step ==");
@@ -421,25 +419,6 @@ pub fn graph_replay() -> Value {
         eager_per_step / replay_per_step
     );
 
-    // --- full coupled driver: record window 0, replay 1..N, bit-exact. ---
-    let windows = 4;
-    let mut recorded = esm_core::CoupledEsm::new(esm_core::EsmConfig::tiny());
-    recorded.run_windows(windows, false).unwrap();
-    let mut eager_esm = esm_core::CoupledEsm::new(esm_core::EsmConfig::tiny());
-    eager_esm.replay.cfg.enabled = false;
-    eager_esm.run_windows(windows, false).unwrap();
-    assert!(
-        recorded.snapshot() == eager_esm.snapshot(),
-        "replayed coupled windows must be bitwise identical to eager"
-    );
-    let stats = recorded.replay.stats;
-    println!(
-        "coupled driver: {} recorded, {} replayed, {} arena allocations, bitwise equal to eager",
-        stats.recorded_windows,
-        stats.replayed_windows,
-        recorded.replay.arena_allocations()
-    );
-
     json!({
         "dycore": {
             "eager_dispatched_tasks": eager.dispatched_tasks,
@@ -458,14 +437,6 @@ pub fn graph_replay() -> Value {
             "replay_launches_per_step": replay_per_step,
             "graph_replays": per_mode[1].2,
             "dispatch_factor": eager_per_step as f64 / replay_per_step as f64,
-        },
-        "coupled": {
-            "windows": windows,
-            "recorded_windows": stats.recorded_windows,
-            "replayed_windows": stats.replayed_windows,
-            "invalidations": stats.invalidations,
-            "arena_allocations": recorded.replay.arena_allocations(),
-            "bitwise_equal_to_eager": true,
         },
         "paper_speedup_range": [8.0, 10.0],
     })

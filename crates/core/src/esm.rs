@@ -16,7 +16,6 @@
 
 use crate::budgets::{CarbonBudget, WaterBudget, KG_CO2_PER_KG_C, KG_C_PER_KMOL};
 use crate::config::EsmConfig;
-use crate::replay::{ReplayState, WindowArena, WindowPlan, WindowShape};
 use crate::solar;
 use crate::timers::Timers;
 use atmo::{AtmParams, Atmosphere};
@@ -60,11 +59,6 @@ pub struct CoupledEsm {
     /// grid cell -> land-local index (-1 over ocean).
     land_pos: Vec<i64>,
     pub(crate) windows_run: u64,
-    /// Window record/replay state (see [`crate::replay`]): records the
-    /// first coupled window into a frozen arena, replays later windows
-    /// with zero fresh allocation, and invalidates on shape changes or
-    /// restores.
-    pub replay: ReplayState,
 }
 
 impl CoupledEsm {
@@ -120,7 +114,6 @@ impl CoupledEsm {
             pending_to_slow: FluxSet::new(),
             land_pos,
             windows_run: 0,
-            replay: ReplayState::default(),
         };
         esm.pending_to_fast = initial_to_fast(&esm.ocean, &esm.hamocc);
         esm.pending_to_slow = initial_to_slow(esm.grid.as_ref());
@@ -135,9 +128,6 @@ impl CoupledEsm {
     /// last completed window is preserved.
     pub fn run_windows(&mut self, n: usize, concurrent: bool) -> Result<(), FluxError> {
         let t0 = std::time::Instant::now();
-        let cfg = self.cfg.clone();
-        let grid = self.grid.clone();
-        let window0 = self.windows_run;
         self.timers.threads = rayon::current_num_threads();
 
         if concurrent {
@@ -149,6 +139,8 @@ impl CoupledEsm {
             let mut slow_wall = 0.0;
             let mut slow_busy = 0.0;
             let CoupledEsm {
+                cfg,
+                grid,
                 atm,
                 land,
                 ocean,
@@ -158,14 +150,15 @@ impl CoupledEsm {
                 pending_to_slow,
                 ocean_water_received_kg,
                 timers,
-                replay,
+                windows_run,
                 ..
             } = self;
+            let window0 = *windows_run;
             let mut last_fast_out = FluxSet::new();
             let mut last_slow_out = FluxSet::new();
-            let cfg_slow = cfg.clone();
             let (fast_stats, slow_stats) = {
-                let g = grid.as_ref();
+                let g: &Grid = grid;
+                let cfg: &EsmConfig = cfg;
                 let last_fast_out = &mut last_fast_out;
                 let last_slow_out = &mut last_slow_out;
                 let fast_wall = &mut fast_wall;
@@ -177,41 +170,24 @@ impl CoupledEsm {
                     pending_to_fast.clone(),
                     pending_to_slow.clone(),
                     move |w, incoming| {
-                        let shape = WindowShape::capture(g, &cfg, land, incoming);
-                        let plan = replay.begin_window(&shape);
-                        let mut fresh = match plan {
-                            WindowPlan::Replay => None,
-                            _ => Some(WindowArena::new(g.n_cells, g.n_edges)),
-                        };
-                        let arena: &mut WindowArena = match fresh.as_mut() {
-                            Some(a) => a,
-                            None => {
-                                replay.arena_mut().expect("replay plan implies a graph")
-                            }
-                        };
                         let out = Timers::time_with_busy(fast_wall, fast_busy, || {
                             fast_window(
                                 atm,
                                 land,
                                 g,
                                 land_pos,
-                                &cfg,
+                                cfg,
                                 window0 + w as u64,
                                 incoming,
                                 ocean_water_received_kg,
-                                arena,
                             )
                         })?;
-                        if plan == WindowPlan::Record {
-                            let shape = WindowShape::capture(g, &cfg, land, incoming);
-                            replay.commit(shape, fresh.take().expect("record plan holds it"));
-                        }
                         *last_fast_out = out.clone();
                         Ok(out)
                     },
                     move |_w, incoming| {
                         let out = Timers::time_with_busy(slow_wall, slow_busy, || {
-                            slow_window(ocean, hamocc, g, cfg_slow.oce_steps_per_window(), incoming)
+                            slow_window(ocean, hamocc, g, cfg.oce_steps_per_window(), incoming)
                         })?;
                         *last_slow_out = out.clone();
                         Ok(out)
@@ -224,72 +200,19 @@ impl CoupledEsm {
             timers.ocean_bgc_busy_s += slow_busy;
             timers.atm_wait_s += fast_stats.wait_s;
             timers.oce_wait_s += slow_stats.wait_s;
-            let consumed = std::mem::replace(&mut self.pending_to_slow, last_fast_out);
-            self.replay.recycle(consumed);
-            let consumed = std::mem::replace(&mut self.pending_to_fast, last_slow_out);
-            self.replay.recycle(consumed);
+            *pending_to_slow = last_fast_out;
+            *pending_to_fast = last_slow_out;
+            *windows_run += n as u64;
         } else {
-            for w in 0..n {
+            for _ in 0..n {
                 let incoming_fast = self.pending_to_fast.clone();
                 let incoming_slow = self.pending_to_slow.clone();
-                let shape =
-                    WindowShape::capture(grid.as_ref(), &cfg, &self.land, &incoming_fast);
-                let plan = self.replay.begin_window(&shape);
-                let mut fresh = match plan {
-                    WindowPlan::Replay => None,
-                    _ => Some(WindowArena::new(grid.n_cells, grid.n_edges)),
-                };
-                let arena: &mut WindowArena = match fresh.as_mut() {
-                    Some(a) => a,
-                    None => self.replay.arena_mut().expect("replay plan implies a graph"),
-                };
-                let fast_out = Timers::time_with_busy(
-                    &mut self.timers.atm_land_s,
-                    &mut self.timers.atm_land_busy_s,
-                    || {
-                        fast_window(
-                            &mut self.atm,
-                            &mut self.land,
-                            grid.as_ref(),
-                            &self.land_pos,
-                            &cfg,
-                            window0 + w as u64,
-                            &incoming_fast,
-                            &mut self.ocean_water_received_kg,
-                            arena,
-                        )
-                    },
-                )?;
-                let slow_out = Timers::time_with_busy(
-                    &mut self.timers.ocean_bgc_s,
-                    &mut self.timers.ocean_bgc_busy_s,
-                    || {
-                        slow_window(
-                            &mut self.ocean,
-                            &mut self.hamocc,
-                            grid.as_ref(),
-                            cfg.oce_steps_per_window(),
-                            &incoming_slow,
-                        )
-                    },
-                )?;
-                if plan == WindowPlan::Record {
-                    // Freeze the recording pass: signature captured after
-                    // the window so the land schedule is populated.
-                    let shape =
-                        WindowShape::capture(grid.as_ref(), &cfg, &self.land, &incoming_fast);
-                    self.replay.commit(shape, fresh.take().expect("record plan holds it"));
-                }
-                // The consumed bundles return their buffers to the pool.
-                let consumed = std::mem::replace(&mut self.pending_to_slow, fast_out);
-                self.replay.recycle(consumed);
-                let consumed = std::mem::replace(&mut self.pending_to_fast, slow_out);
-                self.replay.recycle(consumed);
+                let fast_out = self.run_fast_window(self.windows_run, &incoming_fast)?;
+                let slow_out = self.run_slow_window(&incoming_slow)?;
+                self.pending_to_slow = fast_out;
+                self.pending_to_fast = slow_out;
                 self.windows_run += 1;
             }
-        }
-        if concurrent {
-            self.windows_run += n as u64;
         }
         self.timers.total_s += t0.elapsed().as_secs_f64();
         self.timers.simulated_s += n as f64 * self.cfg.coupling_s;
@@ -306,47 +229,27 @@ impl CoupledEsm {
         window: u64,
         incoming: &FluxSet,
     ) -> Result<FluxSet, FluxError> {
-        let cfg = self.cfg.clone();
-        let grid = self.grid.clone();
-        let shape = WindowShape::capture(grid.as_ref(), &cfg, &self.land, incoming);
-        let plan = self.replay.begin_window(&shape);
-        let mut fresh = match plan {
-            WindowPlan::Replay => None,
-            _ => Some(WindowArena::new(grid.n_cells, grid.n_edges)),
-        };
-        let arena: &mut WindowArena = match fresh.as_mut() {
-            Some(a) => a,
-            None => self.replay.arena_mut().expect("replay plan implies a graph"),
-        };
-        let out = Timers::time_with_busy(
+        Timers::time_with_busy(
             &mut self.timers.atm_land_s,
             &mut self.timers.atm_land_busy_s,
             || {
                 fast_window(
                     &mut self.atm,
                     &mut self.land,
-                    grid.as_ref(),
+                    self.grid.as_ref(),
                     &self.land_pos,
-                    &cfg,
+                    &self.cfg,
                     window,
                     incoming,
                     &mut self.ocean_water_received_kg,
-                    arena,
                 )
             },
-        )?;
-        if plan == WindowPlan::Record {
-            let shape = WindowShape::capture(grid.as_ref(), &cfg, &self.land, incoming);
-            self.replay.commit(shape, fresh.take().expect("record plan holds it"));
-        }
-        Ok(out)
+        )
     }
 
     /// One ocean+BGC window driven externally. Counterpart of
     /// [`CoupledEsm::run_fast_window`].
     pub fn run_slow_window(&mut self, incoming: &FluxSet) -> Result<FluxSet, FluxError> {
-        let cfg = self.cfg.clone();
-        let grid = self.grid.clone();
         Timers::time_with_busy(
             &mut self.timers.ocean_bgc_s,
             &mut self.timers.ocean_bgc_busy_s,
@@ -354,12 +257,27 @@ impl CoupledEsm {
                 slow_window(
                     &mut self.ocean,
                     &mut self.hamocc,
-                    grid.as_ref(),
-                    cfg.oce_steps_per_window(),
+                    self.grid.as_ref(),
+                    self.cfg.oce_steps_per_window(),
                     incoming,
                 )
             },
         )
+    }
+
+    /// Run one fault-tolerant driver call on the τ clock. Whatever
+    /// `run_windows` calls the driver makes inside (audit re-executions,
+    /// rollback replays), the call adds its own wall time to `total_s`
+    /// once and the model's net advance to `simulated_s`.
+    pub(crate) fn on_tau_clock<T>(&mut self, driver: impl FnOnce(&mut Self) -> T) -> T {
+        let t0 = std::time::Instant::now();
+        let (total0, simulated0, w0) =
+            (self.timers.total_s, self.timers.simulated_s, self.windows_run);
+        let out = driver(self);
+        self.timers.total_s = total0 + t0.elapsed().as_secs_f64();
+        self.timers.simulated_s =
+            simulated0 + (self.windows_run as f64 - w0 as f64) * self.cfg.coupling_s;
+        out
     }
 
     /// Simulated seconds since initialization.
@@ -570,23 +488,6 @@ impl CoupledEsm {
     /// Restore from a snapshot produced by [`CoupledEsm::snapshot`] on an
     /// identically configured instance.
     pub fn restore(&mut self, s: &iosys::Snapshot) {
-        self.copy_all_vars(s);
-        // The trajectory jumped: a recorded window schedule may not be
-        // trusted across a rollback — the next window re-records.
-        self.replay.invalidate();
-    }
-
-    /// Restore without invalidating the recorded window graph. For the
-    /// audit-replay detector only: the caller guarantees the snapshot
-    /// comes from the *same* trajectory and shape (it re-executes the
-    /// very windows the graph recorded), so the frozen schedule stays
-    /// valid and the re-run draws its buffers from the arena pool
-    /// instead of allocating scratch.
-    pub fn restore_same_shape(&mut self, s: &iosys::Snapshot) {
-        self.copy_all_vars(s);
-    }
-
-    fn copy_all_vars(&mut self, s: &iosys::Snapshot) {
         self.copy_fast_vars(s);
         self.copy_slow_vars(s);
 
@@ -615,7 +516,6 @@ impl CoupledEsm {
         self.ocean_water_received_kg = scalars[0];
         self.atm.state.time_s = scalars[1];
         self.land.state.time_s = scalars[2];
-        self.replay.invalidate();
     }
 
     /// Restore only the ocean+ice+BGC group from a
@@ -624,7 +524,6 @@ impl CoupledEsm {
         self.copy_slow_vars(s);
         let scalars = s.expect("slow.scalars");
         self.ocean.state.time_s = scalars[0];
-        self.replay.invalidate();
     }
 
     fn copy_fast_vars(&mut self, s: &iosys::Snapshot) {
@@ -791,8 +690,8 @@ impl CoupledEsm {
         })
     }
 
-    /// The static buffers: read by every window, written by none (the
-    /// recorded window graph's write-set proves the analogous DSL fields
+    /// The static buffers: read by every window, written by none
+    /// (dace-mini's write-set analysis proves the analogous DSL fields
     /// untouched). They are outside the snapshot precisely *because*
     /// they never change — which also makes them the canonical target
     /// for silent memory corruption, caught by the quiescence-checksum
@@ -876,11 +775,7 @@ fn initial_to_slow(g: &Grid) -> FluxSet {
     f
 }
 
-/// One atmosphere+land coupling window. All window-internal buffers come
-/// from `arena` — freshly allocated on a recording (or replay-disabled)
-/// pass, recycled on replay — with identical initial values either way,
-/// so record, replay, and the eager path are bitwise identical by
-/// construction.
+/// One atmosphere+land coupling window.
 #[allow(clippy::too_many_arguments)]
 fn fast_window(
     atm: &mut Atmosphere<Grid>,
@@ -891,7 +786,6 @@ fn fast_window(
     window: u64,
     incoming: &FluxSet,
     ocean_water_received_kg: &mut f64,
-    arena: &mut WindowArena,
 ) -> Result<FluxSet, FluxError> {
     let n = g.n_cells;
     let steps = cfg.atm_steps_per_window();
@@ -918,7 +812,10 @@ fn fast_window(
     }
 
     // --- step atmosphere + land together; accumulate window fluxes.
-    arena.reset();
+    let mut precip_ocean_m = vec![0.0; n];
+    let mut evap_ocean_m = vec![0.0; n];
+    let mut discharge_m3 = vec![0.0; n];
+    let mut sw_sum = vec![0.0; n];
     for s in 0..steps {
         let t = window_t0 + s as f64 * dt;
         // Land forcing from the current atmosphere state and the sun.
@@ -935,35 +832,35 @@ fn fast_window(
             atm.state.land_moisture_flux[gc] = land.state.evapotranspiration[i] * 1000.0;
             atm.state.co2_surface_flux[gc] = land.state.nee[i] * KG_CO2_PER_KG_C;
         }
-        for (c, d) in arena.discharge_m3.iter_mut().enumerate().take(n) {
+        for (c, d) in discharge_m3.iter_mut().enumerate().take(n) {
             *d += land.discharge_m3[c];
         }
         atm.step(&NoExchange);
         for (c, &pos) in land_pos.iter().enumerate().take(n) {
             if pos < 0 {
-                arena.precip_ocean_m[c] += atm.state.precip_rate[c] * dt * 1e-3;
-                arena.evap_ocean_m[c] += atm.state.evap_rate[c] * dt * 1e-3;
+                precip_ocean_m[c] += atm.state.precip_rate[c] * dt * 1e-3;
+                evap_ocean_m[c] += atm.state.evap_rate[c] * dt * 1e-3;
             }
-            arena.sw_sum[c] += solar::sw_down(&g.cell_center[c], t);
+            sw_sum[c] += solar::sw_down(&g.cell_center[c], t);
         }
     }
 
     // --- pack fluxes for the ocean window.
     let kb = atm.params.nlev - 1;
-    let mut wind_stress = arena.take_edges(0.0);
+    let mut wind_stress = vec![0.0; g.n_edges];
     for (e, ws) in wind_stress.iter_mut().enumerate() {
         let [c0, c1] = g.edge_cells[e];
         let speed = 0.5 * (atm.wind_lowest[c0 as usize] + atm.wind_lowest[c1 as usize]);
         *ws = RHO_AIR * C_DRAG * speed * atm.state.vn.at(e, kb);
     }
-    let mut heat = arena.take_cells(0.0);
-    let mut fw = arena.take_cells(0.0);
-    let mut pco2 = arena.take_cells(420.0);
-    let mut wind = arena.take_cells(0.0);
-    let mut sw_mean = arena.take_cells(0.0);
+    let mut heat = vec![0.0; n];
+    let mut fw = vec![0.0; n];
+    let mut pco2 = vec![420.0; n];
+    let mut wind = vec![0.0; n];
+    let mut sw_mean = vec![0.0; n];
     let mut received = 0.0;
     for c in 0..n {
-        sw_mean[c] = arena.sw_sum[c] / steps as f64;
+        sw_mean[c] = sw_sum[c] / steps as f64;
         wind[c] = atm.wind_lowest[c];
         pco2[c] = atm.state.co2.at(c, kb) * (28.97 / 44.0095) * 1e6;
         if land_pos[c] < 0 {
@@ -971,8 +868,7 @@ fn fast_window(
             let sensible = SENSIBLE * ((t_air_k(atm, g, c) - 273.15) - sst[c]);
             heat[c] = OCEAN_CO_ALBEDO * sw_mean[c] - (OLR_A + OLR_B * sst[c]) - latent
                 + sensible;
-            fw[c] = (arena.precip_ocean_m[c] - arena.evap_ocean_m[c]
-                + arena.discharge_m3[c] / g.cell_area[c])
+            fw[c] = (precip_ocean_m[c] - evap_ocean_m[c] + discharge_m3[c] / g.cell_area[c])
                 / cfg.coupling_s;
             received += fw[c] * g.cell_area[c] * cfg.coupling_s * 1000.0;
         }

@@ -27,7 +27,7 @@
 //!   bit-flip injection ([`sdc::StateFaultPlan`]) and the quiescence
 //!   checksums backing the resilient driver's three SDC detectors
 //!   (per-flux physics guard, CRC over never-written buffers, audit
-//!   replay over the bitwise-deterministic window graph);
+//!   re-execution of the bitwise-deterministic window loop);
 //! * [`budgets`] — cross-component conservation ledgers (carbon, water);
 //! * [`timers`] — per-component wall-clock timing and the temporal
 //!   compression tau.
@@ -39,7 +39,6 @@ pub mod esm;
 pub mod fluxspec;
 pub mod health;
 pub mod protocolspec;
-pub mod replay;
 pub mod resilience;
 pub mod sdc;
 pub mod solar;
@@ -53,7 +52,6 @@ pub use health::{FailureDetector, HealthConfig, HealthError, HealthEvent, Health
 pub use protocolspec::{
     all_specs, coupler_exchange_spec, guard_spec, heartbeat_spec, supervised_spec,
 };
-pub use replay::{ReplayConfig, ReplayState, WindowReplayStats, WindowShape};
 pub use resilience::{EsmError, ResilienceConfig, ResilienceReport};
 pub use sdc::{FlipTarget, QuiescenceReference, SdcInjection, SdcMode, StateFaultPlan};
 pub use supervisor::{Side, SupervisorConfig};

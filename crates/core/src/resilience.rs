@@ -79,12 +79,12 @@ pub struct ResilienceConfig {
     pub output_queue: usize,
     /// Enable the SDC detector suite and audit every this many windows
     /// (`0`: off). When on, every completed window is additionally
-    /// screened by quiescence checksums, an audit replay (re-execute the
-    /// windows since the last verified state via the recorded graph and
-    /// compare bitwise — exact dual-modular redundancy) runs on the
-    /// audit schedule, before every checkpoint write (so the ring only
-    /// ever holds verified states), and on any delta-plausibility
-    /// suspicion.
+    /// screened by quiescence checksums, an audit replay (restore the
+    /// last verified state, re-execute the windows since then through
+    /// plain `run_windows` and compare bitwise — exact dual-modular
+    /// redundancy) runs on the audit schedule, before every checkpoint
+    /// write (so the ring only ever holds verified states), and on any
+    /// delta-plausibility suspicion.
     pub audit_every: u64,
     /// Delta-plausibility threshold: a coupling flux that jumps more
     /// than this fraction of its declared `fluxreg` span between
@@ -231,16 +231,6 @@ pub struct ResilienceReport {
     pub output_write_retries: u64,
     /// Storage errors seen on the diagnostics path (including retried).
     pub output_write_errors: u64,
-    /// Coupled windows that ran as a record/replay recording pass
-    /// (see [`crate::replay`]), re-records included.
-    pub graph_recordings: u64,
-    /// Coupled windows replayed against a recorded window graph.
-    pub graph_replays: u64,
-    /// Recorded window graphs discarded: shape/certification mismatches
-    /// plus every restore (rollback-replay, rank respawn).
-    pub graph_invalidations: u64,
-    /// Recording passes that followed an invalidation.
-    pub graph_rerecords: u64,
     /// In-state bit flips the SDC fault plan actually fired.
     pub sdc_injected: u64,
     /// SDC detections by the per-flux physics guard (bounds violation).
@@ -270,7 +260,7 @@ pub struct ResilienceReport {
 
 impl ResilienceReport {
     /// Fold one round's conformance verdict into the protocol counters.
-    fn absorb_conformance(
+    pub(crate) fn absorb_conformance(
         &mut self,
         outcome: Result<mpisim::ConformSummary, mpisim::ProtocolViolation>,
     ) {
@@ -561,8 +551,21 @@ impl CoupledEsm {
     /// blow-up guard, and rollback-replay on any failure. Transient faults
     /// (from `plan` or real storage damage) are absorbed; persistent
     /// failures surface as a typed [`EsmError`]. The final state is
-    /// bit-exact with a fault-free run of the same windows.
+    /// bit-exact with a fault-free run of the same windows, and the τ
+    /// timers count the call once: audit re-executions and rollback
+    /// replays add wall time but no simulated time.
     pub fn run_windows_resilient(
+        &mut self,
+        n_windows: u64,
+        concurrent: bool,
+        dir: &Path,
+        rcfg: &ResilienceConfig,
+        plan: Option<Arc<FaultPlan>>,
+    ) -> Result<ResilienceReport, EsmError> {
+        self.on_tau_clock(|esm| esm.resilient_windows(n_windows, concurrent, dir, rcfg, plan))
+    }
+
+    fn resilient_windows(
         &mut self,
         n_windows: u64,
         concurrent: bool,
@@ -572,7 +575,6 @@ impl CoupledEsm {
     ) -> Result<ResilienceReport, EsmError> {
         let mut report = ResilienceReport::default();
         let w0 = self.windows_run();
-        let graph0 = self.replay.stats;
         let storage = rcfg.storage.clone().unwrap_or_else(RealFs::shared);
         let mut ring =
             CheckpointRing::new_with(storage.clone(), dir, "restart", rcfg.keep_generations)?;
@@ -675,13 +677,14 @@ impl CoupledEsm {
                 }
             }
 
-            // Detector 3: audit replay — exact dual-modular redundancy
-            // over the bitwise-deterministic window graph. Runs on the
-            // audit schedule, before a checkpoint lands (the ring must
-            // only ever hold verified states), and on any
-            // delta-plausibility suspicion. On a pass the re-execution
-            // leaves the live state bitwise equal to `snap`, and `snap`
-            // becomes the next verification baseline.
+            // Detector 3: audit replay — exact dual-modular redundancy:
+            // restore the verified state and re-execute through the
+            // bitwise-deterministic `run_windows`. Runs on the audit
+            // schedule, before a checkpoint lands (the ring must only
+            // ever hold verified states), and on any delta-plausibility
+            // suspicion. On a pass the re-execution leaves the live state
+            // bitwise equal to `snap`, and `snap` becomes the next
+            // verification baseline.
             let mut audit_passed = false;
             if fault.is_none() && sdc_on {
                 if let Some(base) = &verified {
@@ -692,7 +695,7 @@ impl CoupledEsm {
                     if scheduled || checkpoint_due || suspicion.is_some() {
                         report.audit_replays += 1;
                         let span = window - verified_at;
-                        self.restore_same_shape(base);
+                        self.restore(base);
                         self.run_windows(span as usize, concurrent)
                             .map_err(|error| EsmError::Flux { window, error })?;
                         match first_bitwise_mismatch(&self.snapshot(), &snap) {
@@ -851,11 +854,6 @@ impl CoupledEsm {
         if let Some(p) = &rcfg.sdc {
             report.sdc_injected = p.injected();
         }
-        let graph = self.replay.stats;
-        report.graph_recordings = graph.recorded_windows - graph0.recorded_windows;
-        report.graph_replays = graph.replayed_windows - graph0.replayed_windows;
-        report.graph_invalidations = graph.invalidations - graph0.invalidations;
-        report.graph_rerecords = graph.rerecords - graph0.rerecords;
         if let Some(srv) = diag {
             match srv.finish() {
                 Ok(stats) => {
@@ -927,6 +925,43 @@ mod tests {
         let mut b = CoupledEsm::new(cfg);
         b.run_windows(3, false).unwrap();
         assert_eq!(a.snapshot(), b.snapshot());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Audit re-executions and rollback replays run through `run_windows`
+    /// but must not count as simulated time, and the supervised driver
+    /// must count its wall time: both drivers leave the τ timers grown by
+    /// exactly the windows requested and by the call's own wall time.
+    #[test]
+    fn driver_tau_counts_each_window_and_the_call_once() {
+        let cfg = EsmConfig::tiny();
+        let dir = scratch_dir("res_tau");
+        let rcfg = ResilienceConfig {
+            audit_every: 1,
+            ..quick_rcfg()
+        };
+        let plan = Arc::new(FaultPlan::new().inject(1, 0, 2, mpisim::FaultAction::Drop));
+        let mut esm = CoupledEsm::new(cfg.clone());
+        let t0 = std::time::Instant::now();
+        let report = esm
+            .run_windows_resilient(4, false, &dir, &rcfg, Some(plan))
+            .unwrap();
+        let wall = t0.elapsed().as_secs_f64();
+        assert!(report.audit_replays >= 4 && report.rollbacks == 1, "{report:?}");
+        assert_eq!(esm.timers.simulated_s, 4.0 * cfg.coupling_s);
+        assert!(esm.timers.total_s <= wall, "{:?} vs {wall}", esm.timers);
+        assert!(esm.timers.tau().is_finite() && esm.timers.tau() > 0.0);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = scratch_dir("res_tau_sup");
+        let mut esm = CoupledEsm::new(cfg.clone());
+        let t0 = std::time::Instant::now();
+        esm.run_windows_supervised(4, &dir, &crate::SupervisorConfig::default(), None)
+            .unwrap();
+        let wall = t0.elapsed().as_secs_f64();
+        assert_eq!(esm.timers.simulated_s, 4.0 * cfg.coupling_s);
+        assert!(esm.timers.total_s <= wall, "{:?} vs {wall}", esm.timers);
+        assert!(esm.timers.tau().is_finite() && esm.timers.tau() > 0.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,20 +14,21 @@
 //! * **Mantissa** — low mantissa bits (0..32) of an active state
 //!   variable: a relative perturbation below `2^-20`, guaranteed
 //!   in-bounds. Only an exact detector can see it; the resilient
-//!   driver's audit replay (dual-modular redundancy over the
-//!   bitwise-deterministic window graph) catches every such flip that
-//!   survives to the end of a window, and a flip that does not survive
-//!   was overwritten before anything read it — provably dead.
+//!   driver's audit (dual-modular redundancy: re-execute the windows
+//!   through the bitwise-deterministic `run_windows` and compare bit for
+//!   bit) catches every such flip that survives to the end of a window,
+//!   and a flip that does not survive was overwritten before anything
+//!   read it — provably dead.
 //! * **Exponent** — bits 52..62 of an active variable: the value jumps
 //!   by a power of two (possibly many); large excursions are caught by
 //!   the per-flux physics guard, small ones by the audit.
 //! * **Quiescent** — mantissa bits of a buffer no coupled window ever
 //!   writes (orography, layer climatology, layer thicknesses, the
-//!   land-sea mask fields). The recorded execution graph proves these
-//!   buffers untouched, so a per-window CRC-32 against a reference
-//!   captured at driver start catches *any* single-bit corruption
-//!   exactly — and the pristine reference copy doubles as the repair
-//!   source ([`QuiescenceReference`]).
+//!   land-sea mask fields). dace-mini's write-set analysis proves the
+//!   analogous DSL fields untouched, so a per-window CRC-32 against a
+//!   reference captured at driver start catches *any* single-bit
+//!   corruption exactly — and the pristine reference copy doubles as
+//!   the repair source ([`QuiescenceReference`]).
 //!
 //! Every fault fires at most once: after a rollback the replayed window
 //! is clean, which is exactly the transient-fault model the resilience

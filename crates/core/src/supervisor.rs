@@ -374,8 +374,19 @@ impl CoupledEsm {
     /// persistence-fallback degraded coupling, per-field quarantine of
     /// exchanged fluxes, and localized rank recovery from per-side
     /// checkpoint rings in `dir`. Faults come from `plan` (kills, hangs,
-    /// dropped beats) and from `scfg.corrupt_flux`.
+    /// dropped beats) and from `scfg.corrupt_flux`. The τ timers count
+    /// the call once, like [`CoupledEsm::run_windows_resilient`].
     pub fn run_windows_supervised(
+        &mut self,
+        n_windows: u64,
+        dir: &Path,
+        scfg: &SupervisorConfig,
+        plan: Option<Arc<FaultPlan>>,
+    ) -> Result<ResilienceReport, EsmError> {
+        self.on_tau_clock(|esm| esm.supervised_windows(n_windows, dir, scfg, plan))
+    }
+
+    fn supervised_windows(
         &mut self,
         n_windows: u64,
         dir: &Path,
@@ -442,7 +453,6 @@ impl CoupledEsm {
         // Generation covering the starting state, so window 0 can recover.
         sup.checkpoint(self, 0);
         let hb_spec = crate::protocolspec::supervised_spec();
-        let graph0 = self.replay.stats;
         // Pristine static-buffer checksums, captured before any SDC flip
         // can fire.
         let quiescence = scfg
@@ -484,11 +494,7 @@ impl CoupledEsm {
             // Pin the round to the verified heartbeat protocol: any
             // divergence (wrong tag, unexpected message, skipped recv)
             // lands in the report as a protocol violation.
-            sup.report.protocol_rounds += 1;
-            match conform(&hb_spec, abs, &traces) {
-                Ok(s) => sup.report.protocol_ops_matched += s.ops_matched as u64,
-                Err(v) => sup.report.protocol_violations.push(v.to_string()),
-            }
+            sup.report.absorb_conformance(conform(&hb_spec, abs, &traces));
             let verdicts = sup.detector.observe(abs, &statuses);
 
             // ---- 3. transitions: declare failures, schedule respawns.
@@ -626,18 +632,12 @@ impl CoupledEsm {
             self.pending_to_slow = last_fast.0.clone();
         }
         self.windows_run = sup.w0 + n;
-        self.timers.simulated_s += n as f64 * self.cfg.coupling_s;
 
         let mut report = sup.report;
         report.windows_run = n;
         report.final_generation = sup.newest_gen;
         report.checkpoint_retries = sup.rings.iter().map(|r| r.io_retries()).sum();
         report.timeline = sup.detector.into_timeline();
-        let graph = self.replay.stats;
-        report.graph_recordings = graph.recorded_windows - graph0.recorded_windows;
-        report.graph_replays = graph.replayed_windows - graph0.replayed_windows;
-        report.graph_invalidations = graph.invalidations - graph0.invalidations;
-        report.graph_rerecords = graph.rerecords - graph0.rerecords;
         let mut events: Vec<_> = sup.gates[0].events().to_vec();
         events.extend_from_slice(sup.gates[1].events());
         events.sort_by_key(|e| e.window);

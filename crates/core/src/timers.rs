@@ -28,8 +28,6 @@ pub struct Timers {
     pub atm_land_s: f64,
     /// Ocean + sea-ice + BGC compute time (s).
     pub ocean_bgc_s: f64,
-    /// Coupler pack/unpack/exchange time (s).
-    pub coupling_s: f64,
     /// Time the atmosphere side waited for the ocean side (s).
     pub atm_wait_s: f64,
     /// Time the ocean side waited for the atmosphere side (s).
@@ -52,14 +50,6 @@ impl Timers {
         Timers::default()
     }
 
-    /// Time a closure into one of the buckets.
-    pub fn time<T>(bucket: &mut f64, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let r = f();
-        *bucket += t0.elapsed().as_secs_f64();
-        r
-    }
-
     /// Time a closure into a wall bucket AND attribute the pool-worker
     /// busy seconds of every parallel kernel it drives to `busy`.
     ///
@@ -75,28 +65,14 @@ impl Timers {
         r
     }
 
-    /// Temporal compression tau = simulated time / wall time.
+    /// Temporal compression tau = simulated time / wall time — simulated
+    /// days per wall-clock day, the unit of Table 1.
     pub fn tau(&self) -> f64 {
         if self.total_s > 0.0 {
             self.simulated_s / self.total_s
         } else {
             0.0
         }
-    }
-
-    /// Simulated days per (wall-clock) day — the unit of Table 1.
-    pub fn sdpd(&self) -> f64 {
-        self.tau()
-    }
-
-    /// Fraction of wall time spent in each bucket (atm, oce, coupling).
-    pub fn profile(&self) -> (f64, f64, f64) {
-        let t = self.total_s.max(1e-12);
-        (
-            self.atm_land_s / t,
-            self.ocean_bgc_s / t,
-            self.coupling_s / t,
-        )
     }
 
     /// Pool utilization of a (wall, busy) bucket pair: busy worker-seconds
@@ -133,26 +109,12 @@ mod tests {
             ..Timers::default()
         };
         assert!((t.tau() - 144.0).abs() < 1e-12);
-        assert_eq!(t.sdpd(), t.tau());
     }
 
     #[test]
     fn zero_wall_time_is_safe() {
         assert_eq!(Timers::new().tau(), 0.0);
         assert_eq!(Timers::new().utilization(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn time_accumulates() {
-        let mut bucket = 0.0;
-        let v = Timers::time(&mut bucket, || {
-            std::thread::sleep(Duration::from_millis(12));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(bucket >= 0.010, "bucket {bucket}");
-        Timers::time(&mut bucket, || {});
-        assert!(bucket >= 0.010);
     }
 
     #[test]

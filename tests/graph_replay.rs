@@ -1,251 +1,10 @@
-//! Record/replay equivalence harness (ISSUE 7).
+//! Dispatch-elimination check for the dycore execution graph.
 //!
-//! `CoupledEsm` records the first coupled window into a frozen
-//! [`esm_core::replay::WindowArena`] and replays windows 1..N with zero
-//! fresh allocation and no per-window sizing decisions. The contract is
-//! *bitwise equivalence*: a replayed run must be indistinguishable from
-//! the eager (replay-disabled) run in every observable — model state
-//! snapshots, conservation-budget ledgers (`f64::to_bits`), and the
-//! `.esmr` checkpoint shards written to disk — at every pool width and
-//! in both coupling modes. Additionally:
-//!
-//! * replaying N windows ≡ re-recording every window (idempotence),
-//! * steady-state replay makes zero fresh arena allocations,
-//! * the dace-mini cost model's predicted dispatched-tasks-eliminated
-//!   matches the dycore `ExecGraph`'s measured `ExecStats` exactly.
-//!
-//! The pool width is process-global, so the sweeps serialize on
-//! [`WIDTH_LOCK`].
-
-use esm_core::{CoupledEsm, EsmConfig, WindowReplayStats};
-use std::fs;
-use std::path::PathBuf;
-use std::sync::Mutex;
-
-static WIDTH_LOCK: Mutex<()> = Mutex::new(());
-
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-const WINDOWS: usize = 4;
-const CHECKPOINT_SHARDS: usize = 3;
-
-fn set_width(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("shim build_global is infallible");
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("esm_greplay_{tag}_{}", std::process::id()));
-    fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-/// Everything compared between the replayed and eager runs, floats as
-/// raw bits.
-struct RunFingerprint {
-    snapshot: iosys::Snapshot,
-    carbon_bits: [u64; 4],
-    water_bits: [u64; 3],
-    shard_bytes: Vec<Vec<u8>>,
-}
-
-fn fingerprint(esm: &CoupledEsm, tag: &str) -> RunFingerprint {
-    let snapshot = esm.snapshot();
-    let carbon = esm.carbon_budget();
-    let water = esm.water_budget();
-    let dir = scratch(tag);
-    let shards = iosys::write_checkpoint(&dir, "greplay", &snapshot, CHECKPOINT_SHARDS)
-        .expect("write checkpoint");
-    let shard_bytes = shards
-        .iter()
-        .map(|p| fs::read(p).expect("read checkpoint shard"))
-        .collect();
-    fs::remove_dir_all(&dir).ok();
-    RunFingerprint {
-        snapshot,
-        carbon_bits: [
-            carbon.atmosphere.to_bits(),
-            carbon.land.to_bits(),
-            carbon.ocean.to_bits(),
-            carbon.total().to_bits(),
-        ],
-        water_bits: [
-            water.atmosphere.to_bits(),
-            water.land.to_bits(),
-            water.ocean_received.to_bits(),
-        ],
-        shard_bytes,
-    }
-}
-
-fn run(threads: usize, concurrent: bool, replay: bool, tag: &str) -> RunFingerprint {
-    set_width(threads);
-    let mut esm = CoupledEsm::new(EsmConfig::tiny());
-    esm.replay.cfg.enabled = replay;
-    esm.run_windows(WINDOWS, concurrent).unwrap();
-    if replay {
-        assert_eq!(
-            esm.replay.stats,
-            WindowReplayStats {
-                recorded_windows: 1,
-                replayed_windows: (WINDOWS - 1) as u64,
-                invalidations: 0,
-                rerecords: 0,
-            },
-            "{tag}: window 0 records, the rest replay"
-        );
-        assert!(esm.replay.has_graph(), "{tag}: graph stays live");
-    } else {
-        assert_eq!(
-            esm.replay.stats,
-            WindowReplayStats::default(),
-            "{tag}: disabled replay must not record"
-        );
-    }
-    fingerprint(&esm, &format!("{tag}_{threads}"))
-}
-
-fn assert_fingerprints_match(reference: &RunFingerprint, got: &RunFingerprint, label: &str) {
-    assert!(
-        got.snapshot == reference.snapshot,
-        "{label}: model snapshot diverged from the eager run"
-    );
-    assert_eq!(
-        got.carbon_bits, reference.carbon_bits,
-        "{label}: carbon ledger bits diverged"
-    );
-    assert_eq!(
-        got.water_bits, reference.water_bits,
-        "{label}: water ledger bits diverged"
-    );
-    assert_eq!(
-        got.shard_bytes.len(),
-        reference.shard_bytes.len(),
-        "{label}: checkpoint shard count diverged"
-    );
-    for (i, (a, b)) in got.shard_bytes.iter().zip(&reference.shard_bytes).enumerate() {
-        assert!(
-            a == b,
-            "{label}: checkpoint shard {i} bytes diverged ({} vs {} bytes)",
-            a.len(),
-            b.len()
-        );
-    }
-}
-
-/// The headline acceptance check: at widths 1, 2, 4, 8 and in both
-/// coupling modes, a replayed run is bitwise identical to the eager
-/// (replay-disabled) run — snapshots, budget ledgers, checkpoint bytes.
-#[test]
-fn replayed_windows_match_eager_bitwise_at_all_widths_and_both_modes() {
-    let _guard = WIDTH_LOCK.lock().unwrap();
-    for concurrent in [false, true] {
-        let mode = if concurrent { "conc" } else { "seq" };
-        let eager = run(1, concurrent, false, &format!("{mode}_eager"));
-        for &threads in &WIDTHS {
-            let replayed = run(threads, concurrent, true, &format!("{mode}_replay"));
-            assert_fingerprints_match(
-                &eager,
-                &replayed,
-                &format!("{mode} replay @ {threads} threads vs eager"),
-            );
-        }
-    }
-}
-
-/// Replaying N windows is equivalent to re-recording every window: the
-/// graph is a pure execution cache, never a trajectory.
-#[test]
-fn replaying_is_bitwise_idempotent_with_rerecording() {
-    let _guard = WIDTH_LOCK.lock().unwrap();
-    set_width(2);
-
-    // Path A: record window 0, replay 1..N in one call.
-    let mut a = CoupledEsm::new(EsmConfig::tiny());
-    a.run_windows(WINDOWS, false).unwrap();
-
-    // Path B: invalidate before every window, forcing a re-record each
-    // time.
-    let mut b = CoupledEsm::new(EsmConfig::tiny());
-    for w in 0..WINDOWS {
-        if w > 0 {
-            b.replay.invalidate();
-        }
-        b.run_windows(1, false).unwrap();
-    }
-    assert_eq!(
-        b.replay.stats,
-        WindowReplayStats {
-            recorded_windows: WINDOWS as u64,
-            replayed_windows: 0,
-            invalidations: (WINDOWS - 1) as u64,
-            rerecords: (WINDOWS - 1) as u64,
-        },
-        "every forced invalidation is a counted re-record"
-    );
-
-    let fa = fingerprint(&a, "idem_replay");
-    let fb = fingerprint(&b, "idem_rerecord");
-    assert_fingerprints_match(&fa, &fb, "replay N windows vs re-record every window");
-}
-
-/// The point of the arena: once the pools are primed, replayed windows
-/// draw every buffer from recycled storage — the allocation counter is
-/// flat across steady-state windows.
-#[test]
-fn steady_state_replay_makes_zero_fresh_allocations() {
-    let _guard = WIDTH_LOCK.lock().unwrap();
-    set_width(1);
-    let mut esm = CoupledEsm::new(EsmConfig::tiny());
-    // Window 0 records (sizing the arena); window 1 primes the recycling
-    // pools with the first consumed bundles.
-    esm.run_windows(2, false).unwrap();
-    let primed = esm.replay.arena_allocations();
-    assert!(primed > 0, "the recording pass allocates the arena");
-    esm.run_windows(4, false).unwrap();
-    assert_eq!(
-        esm.replay.arena_allocations(),
-        primed,
-        "steady-state replays must not allocate"
-    );
-    assert_eq!(esm.replay.stats.replayed_windows, 5);
-    assert_eq!(esm.replay.stats.recorded_windows, 1);
-}
-
-/// SDC audit replays draw their scratch from the same frozen arena: a
-/// resilient run with audits on every window — the worst case — makes
-/// no fresh allocation after the pools are primed. The audit's
-/// same-shape restore deliberately does *not* invalidate the recorded
-/// graph, so the re-execution replays through the existing pools.
-#[test]
-fn audit_replays_make_zero_fresh_arena_allocations() {
-    use esm_core::ResilienceConfig;
-    let _guard = WIDTH_LOCK.lock().unwrap();
-    set_width(1);
-    let dir = scratch("audit_arena");
-    let mut esm = CoupledEsm::new(EsmConfig::tiny());
-    // Window 0 records and sizes the arena; window 1 primes the pools.
-    esm.run_windows(2, false).unwrap();
-    let primed = esm.replay.arena_allocations();
-    assert!(primed > 0, "the recording pass allocates the arena");
-    let rcfg = ResilienceConfig {
-        audit_every: 1,
-        ..ResilienceConfig::default()
-    };
-    let report = esm
-        .run_windows_resilient(4, false, &dir, &rcfg, None)
-        .unwrap();
-    assert!(report.audit_replays >= 4, "{}", report.audit_replays);
-    assert_eq!(report.sdc_false_positives, 0, "{:?}", report.faults_absorbed);
-    assert_eq!(report.rollbacks, 0, "{:?}", report.faults_absorbed);
-    assert_eq!(
-        esm.replay.arena_allocations(),
-        primed,
-        "audit restores and re-runs must draw from the frozen pools"
-    );
-    fs::remove_dir_all(&dir).ok();
-}
+//! The dace-mini dycore frozen into an `ExecGraph` replays its certified
+//! pipeline as one dispatch (the CPU analog of the paper's CUDA graphs,
+//! §5.1). The static cost model predicts the dispatched-task counts of
+//! the eager and replayed runs, and this test pins that prediction to the
+//! measured `ExecStats` exactly.
 
 /// Cost-model acceptance: `predict_dispatch` must match the recorded
 /// dycore graph's measured `ExecStats` *exactly* — eager dispatches,

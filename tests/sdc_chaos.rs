@@ -1,8 +1,8 @@
 //! Silent-data-corruption chaos harness: seeded bit flips injected
 //! directly into component state buffers, and the three detectors that
 //! must contain them — per-flux physics bounds, quiescence checksums
-//! over never-written buffers, and the bitwise audit replay over the
-//! recorded window graph (exact dual-modular redundancy).
+//! over never-written buffers, and the bitwise audit replay through
+//! plain `run_windows` (exact dual-modular redundancy).
 //!
 //! The containment contract is the strongest one the repo makes: a run
 //! that detected and recovered from an injected flip ends **bitwise
