@@ -17,6 +17,7 @@
 use crate::budgets::{CarbonBudget, WaterBudget, KG_CO2_PER_KG_C, KG_C_PER_KMOL};
 use crate::config::EsmConfig;
 use crate::solar;
+use crate::supervisor::Side;
 use crate::timers::Timers;
 use atmo::{AtmParams, Atmosphere};
 use coupler::exchange::{run_concurrent_windows, FluxError, FluxSet};
@@ -24,6 +25,7 @@ use hamocc::Hamocc;
 use icongrid::{Field2, Grid, LandSeaMask, NoExchange};
 use land::{kernels::LaunchMode, LandModel, LandParams};
 use ocean::{Ocean, OceanParams};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Air density of the wind-stress bulk formula (kg/m^3).
@@ -59,6 +61,95 @@ pub struct CoupledEsm {
     /// grid cell -> land-local index (-1 over ocean).
     land_pos: Vec<i64>,
     pub(crate) windows_run: u64,
+}
+
+/// One checkpointed buffer: f64 model state, or the one bool mask, which
+/// the snapshot stores as 0.0/1.0 and SDC plans never target.
+enum Buf<V, M> {
+    F64(V),
+    Mask(M),
+}
+
+/// A table entry: snapshot variable name, owning side, buffer.
+type StateBuf<V, M> = (Cow<'static, str>, Side, Buf<V, M>);
+
+/// The checkpointed state buffers of [`CoupledEsm`], listed once, in
+/// snapshot order. Expanded with `as_slice`/`iter` for shared and with
+/// `as_mut_slice`/`iter_mut` for exclusive access; every entry borrows a
+/// distinct field, so the exclusive borrows are disjoint.
+macro_rules! state_buffers {
+    ($esm:expr, $slice:ident, $iter:ident) => {{
+        use Buf::{Mask, F64};
+        use Side::{Fast, Slow};
+        let CoupledEsm {
+            atm: Atmosphere { state: a, .. },
+            land: LandModel { state: l, .. },
+            ocean: Ocean { state: o, .. },
+            hamocc: b,
+            ..
+        } = $esm;
+        let named = |(name, side, buf)| (Cow::Borrowed(name), side, buf);
+        let components = [
+            ("atm.delta", Fast, F64(a.delta.$slice())),
+            ("atm.vn", Fast, F64(a.vn.$slice())),
+            ("atm.qv", Fast, F64(a.qv.$slice())),
+            ("atm.qc", Fast, F64(a.qc.$slice())),
+            ("atm.co2", Fast, F64(a.co2.$slice())),
+            ("atm.o3", Fast, F64(a.o3.$slice())),
+            ("atm.precip_acc", Fast, F64(a.precip_acc.$slice())),
+            ("atm.evap_acc", Fast, F64(a.evap_acc.$slice())),
+            ("atm.precip_rate", Fast, F64(a.precip_rate.$slice())),
+            ("atm.evap_rate", Fast, F64(a.evap_rate.$slice())),
+            ("atm.t_surface", Fast, F64(a.t_surface.$slice())),
+            ("atm.co2_flux", Fast, F64(a.co2_surface_flux.$slice())),
+            ("atm.lmf", Fast, F64(a.land_moisture_flux.$slice())),
+            ("atm.is_water", Fast, Mask(a.is_water.$slice())),
+            ("land.t_soil", Fast, F64(l.t_soil.$slice())),
+            ("land.w_liquid", Fast, F64(l.w_liquid.$slice())),
+            ("land.w_ice", Fast, F64(l.w_ice.$slice())),
+            ("land.q_organic", Fast, F64(l.q_organic.$slice())),
+            ("land.pools", Fast, F64(l.pools.$slice())),
+            ("land.lai", Fast, F64(l.lai.$slice())),
+            ("land.river_storage", Fast, F64(l.river_storage.$slice())),
+            ("land.nee", Fast, F64(l.nee.$slice())),
+            ("land.et", Fast, F64(l.evapotranspiration.$slice())),
+            ("land.nee_acc", Fast, F64(l.nee_acc.$slice())),
+            ("land.et_acc", Fast, F64(l.et_acc.$slice())),
+            ("land.precip_acc", Fast, F64(l.precip_acc.$slice())),
+            ("land.runoff_acc", Fast, F64(l.runoff_acc.$slice())),
+            ("oce.vn", Slow, F64(o.vn.$slice())),
+            ("oce.temp", Slow, F64(o.temp.$slice())),
+            ("oce.salt", Slow, F64(o.salt.$slice())),
+            ("oce.w", Slow, F64(o.w.$slice())),
+            ("oce.eta", Slow, F64(o.eta.$slice())),
+            ("oce.ice", Slow, F64(o.ice_thick.$slice())),
+            ("oce.wind_stress", Slow, F64(o.wind_stress_n.$slice())),
+            ("oce.heat_flux", Slow, F64(o.heat_flux.$slice())),
+            ("oce.fw_flux", Slow, F64(o.fw_flux.$slice())),
+            ("oce.pco2", Slow, F64(o.pco2_atm.$slice())),
+            ("oce.heat_acc", Slow, F64(o.heat_acc.$slice())),
+            ("oce.salt_acc", Slow, F64(o.salt_acc.$slice())),
+            ("oce.ice_fw_acc", Slow, F64(o.ice_fw_acc.$slice())),
+        ];
+        let tracers = b.tracers.$iter().enumerate().map(|(i, tr)| {
+            (Cow::Owned(format!("bgc.tr{i:02}")), Slow, F64(tr.$slice()))
+        });
+        let bgc = [
+            ("bgc.sed_p", Slow, F64(b.sediment_p.$slice())),
+            ("bgc.sed_c", Slow, F64(b.sediment_c.$slice())),
+            ("bgc.sed_si", Slow, F64(b.sediment_si.$slice())),
+            ("bgc.co2_flux", Slow, F64(b.co2_flux_up.$slice())),
+            ("bgc.co2_acc", Slow, F64(b.co2_flux_acc.$slice())),
+            ("bgc.sw", Slow, F64(b.sw_down.$slice())),
+            ("bgc.wind", Slow, F64(b.wind.$slice())),
+            ("bgc.pco2", Slow, F64(b.pco2_atm.$slice())),
+        ];
+        components
+            .into_iter()
+            .map(named)
+            .chain(tracers)
+            .chain(bgc.into_iter().map(named))
+    }};
 }
 
 impl CoupledEsm {
@@ -346,18 +437,9 @@ impl CoupledEsm {
 
     /// Full model state as a checkpoint snapshot (bit-exact restart).
     pub fn snapshot(&self) -> iosys::Snapshot {
-        let mut s = Snap(iosys::Snapshot::new());
-        self.push_fast_vars(&mut s);
-        self.push_slow_vars(&mut s);
-
-        // Coupler lag state.
-        for (prefix, fx) in [
-            ("pend_fast", &self.pending_to_fast),
-            ("pend_slow", &self.pending_to_slow),
-        ] {
-            for (name, data) in &fx.fields {
-                s.push(format!("{prefix}.{name}"), data.clone());
-            }
+        let mut s = self.snapshot_buffers(None);
+        for (name, data) in self.lag_vars() {
+            s.push(name, data.clone());
         }
         s.push(
             "esm.scalars",
@@ -375,8 +457,7 @@ impl CoupledEsm {
     /// Atmosphere+land half of the model state (localized checkpointing:
     /// the supervisor restores only the failed side's group).
     pub fn snapshot_fast(&self) -> iosys::Snapshot {
-        let mut s = Snap(iosys::Snapshot::new());
-        self.push_fast_vars(&mut s);
+        let mut s = self.snapshot_buffers(Some(Side::Fast));
         s.push(
             "fast.scalars",
             vec![
@@ -390,107 +471,15 @@ impl CoupledEsm {
 
     /// Ocean+ice+BGC half of the model state.
     pub fn snapshot_slow(&self) -> iosys::Snapshot {
-        let mut s = Snap(iosys::Snapshot::new());
-        self.push_slow_vars(&mut s);
+        let mut s = self.snapshot_buffers(Some(Side::Slow));
         s.push("slow.scalars", vec![self.ocean.state.time_s]);
         s.0
-    }
-
-    fn push_fast_vars(&self, s: &mut Snap) {
-        let a = &self.atm.state;
-        for (n, f) in [
-            ("atm.delta", &a.delta),
-            ("atm.vn", &a.vn),
-            ("atm.qv", &a.qv),
-            ("atm.qc", &a.qc),
-            ("atm.co2", &a.co2),
-            ("atm.o3", &a.o3),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        for (n, f) in [
-            ("atm.precip_acc", &a.precip_acc),
-            ("atm.evap_acc", &a.evap_acc),
-            ("atm.precip_rate", &a.precip_rate),
-            ("atm.evap_rate", &a.evap_rate),
-            ("atm.t_surface", &a.t_surface),
-            ("atm.co2_flux", &a.co2_surface_flux),
-            ("atm.lmf", &a.land_moisture_flux),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        s.push(
-            "atm.is_water",
-            a.is_water.iter().map(|&b| b as u8 as f64).collect(),
-        );
-
-        let l = &self.land.state;
-        for (n, f) in [
-            ("land.t_soil", &l.t_soil),
-            ("land.w_liquid", &l.w_liquid),
-            ("land.w_ice", &l.w_ice),
-            ("land.q_organic", &l.q_organic),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        s.push("land.pools", l.pools.clone());
-        s.push("land.lai", l.lai.clone());
-        s.push("land.river_storage", l.river_storage.clone());
-        s.push("land.nee", l.nee.clone());
-        s.push("land.et", l.evapotranspiration.clone());
-        s.push("land.nee_acc", l.nee_acc.clone());
-        s.push("land.et_acc", l.et_acc.clone());
-        s.push("land.precip_acc", l.precip_acc.clone());
-        s.push("land.runoff_acc", l.runoff_acc.clone());
-    }
-
-    fn push_slow_vars(&self, s: &mut Snap) {
-        let o = &self.ocean.state;
-        for (n, f) in [
-            ("oce.vn", &o.vn),
-            ("oce.temp", &o.temp),
-            ("oce.salt", &o.salt),
-            ("oce.w", &o.w),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        for (n, f) in [
-            ("oce.eta", &o.eta),
-            ("oce.ice", &o.ice_thick),
-            ("oce.wind_stress", &o.wind_stress_n),
-            ("oce.heat_flux", &o.heat_flux),
-            ("oce.fw_flux", &o.fw_flux),
-            ("oce.pco2", &o.pco2_atm),
-            ("oce.heat_acc", &o.heat_acc),
-            ("oce.salt_acc", &o.salt_acc),
-            ("oce.ice_fw_acc", &o.ice_fw_acc),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-
-        for (i, tr) in self.hamocc.tracers.iter().enumerate() {
-            s.push(format!("bgc.tr{i:02}"), tr.as_slice().to_vec());
-        }
-        for (n, f) in [
-            ("bgc.sed_p", &self.hamocc.sediment_p),
-            ("bgc.sed_c", &self.hamocc.sediment_c),
-            ("bgc.sed_si", &self.hamocc.sediment_si),
-            ("bgc.co2_flux", &self.hamocc.co2_flux_up),
-            ("bgc.co2_acc", &self.hamocc.co2_flux_acc),
-            ("bgc.sw", &self.hamocc.sw_down),
-            ("bgc.wind", &self.hamocc.wind),
-            ("bgc.pco2", &self.hamocc.pco2_atm),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
     }
 
     /// Restore from a snapshot produced by [`CoupledEsm::snapshot`] on an
     /// identically configured instance.
     pub fn restore(&mut self, s: &iosys::Snapshot) {
-        self.copy_fast_vars(s);
-        self.copy_slow_vars(s);
-
+        self.restore_buffers(s, None);
         for (prefix, fx) in [
             ("pend_fast", &mut self.pending_to_fast),
             ("pend_slow", &mut self.pending_to_slow),
@@ -511,7 +500,7 @@ impl CoupledEsm {
     /// [`CoupledEsm::snapshot_fast`] snapshot. Ocean, BGC, and the
     /// coupler lag state are untouched.
     pub fn restore_fast(&mut self, s: &iosys::Snapshot) {
-        self.copy_fast_vars(s);
+        self.restore_buffers(s, Some(Side::Fast));
         let scalars = s.expect("fast.scalars");
         self.ocean_water_received_kg = scalars[0];
         self.atm.state.time_s = scalars[1];
@@ -521,213 +510,153 @@ impl CoupledEsm {
     /// Restore only the ocean+ice+BGC group from a
     /// [`CoupledEsm::snapshot_slow`] snapshot.
     pub fn restore_slow(&mut self, s: &iosys::Snapshot) {
-        self.copy_slow_vars(s);
+        self.restore_buffers(s, Some(Side::Slow));
         let scalars = s.expect("slow.scalars");
         self.ocean.state.time_s = scalars[0];
     }
 
-    fn copy_fast_vars(&mut self, s: &iosys::Snapshot) {
-        let copy3 = |f: &mut icongrid::Field3, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
-        let copy2 = |f: &mut Field2, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
-
-        let a = &mut self.atm.state;
-        copy3(&mut a.delta, s.expect("atm.delta"));
-        copy3(&mut a.vn, s.expect("atm.vn"));
-        copy3(&mut a.qv, s.expect("atm.qv"));
-        copy3(&mut a.qc, s.expect("atm.qc"));
-        copy3(&mut a.co2, s.expect("atm.co2"));
-        copy3(&mut a.o3, s.expect("atm.o3"));
-        copy2(&mut a.precip_acc, s.expect("atm.precip_acc"));
-        copy2(&mut a.evap_acc, s.expect("atm.evap_acc"));
-        copy2(&mut a.precip_rate, s.expect("atm.precip_rate"));
-        copy2(&mut a.evap_rate, s.expect("atm.evap_rate"));
-        copy2(&mut a.t_surface, s.expect("atm.t_surface"));
-        copy2(&mut a.co2_surface_flux, s.expect("atm.co2_flux"));
-        copy2(&mut a.land_moisture_flux, s.expect("atm.lmf"));
-        for (b, v) in a.is_water.iter_mut().zip(s.expect("atm.is_water")) {
-            *b = *v != 0.0;
-        }
-
-        let l = &mut self.land.state;
-        copy3(&mut l.t_soil, s.expect("land.t_soil"));
-        copy3(&mut l.w_liquid, s.expect("land.w_liquid"));
-        copy3(&mut l.w_ice, s.expect("land.w_ice"));
-        copy3(&mut l.q_organic, s.expect("land.q_organic"));
-        l.pools.copy_from_slice(s.expect("land.pools"));
-        l.lai.copy_from_slice(s.expect("land.lai"));
-        l.river_storage.copy_from_slice(s.expect("land.river_storage"));
-        l.nee.copy_from_slice(s.expect("land.nee"));
-        l.evapotranspiration.copy_from_slice(s.expect("land.et"));
-        l.nee_acc.copy_from_slice(s.expect("land.nee_acc"));
-        l.et_acc.copy_from_slice(s.expect("land.et_acc"));
-        l.precip_acc.copy_from_slice(s.expect("land.precip_acc"));
-        l.runoff_acc.copy_from_slice(s.expect("land.runoff_acc"));
+    fn state_buffers(&self) -> impl Iterator<Item = StateBuf<&[f64], &[bool]>> + '_ {
+        state_buffers!(self, as_slice, iter)
     }
 
-    fn copy_slow_vars(&mut self, s: &iosys::Snapshot) {
-        let copy3 = |f: &mut icongrid::Field3, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
-        let copy2 = |f: &mut Field2, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
+    fn state_buffers_mut(
+        &mut self,
+    ) -> impl Iterator<Item = StateBuf<&mut [f64], &mut [bool]>> + '_ {
+        state_buffers!(self, as_mut_slice, iter_mut)
+    }
 
-        let o = &mut self.ocean.state;
-        copy3(&mut o.vn, s.expect("oce.vn"));
-        copy3(&mut o.temp, s.expect("oce.temp"));
-        copy3(&mut o.salt, s.expect("oce.salt"));
-        copy3(&mut o.w, s.expect("oce.w"));
-        copy2(&mut o.eta, s.expect("oce.eta"));
-        copy2(&mut o.ice_thick, s.expect("oce.ice"));
-        copy2(&mut o.wind_stress_n, s.expect("oce.wind_stress"));
-        copy2(&mut o.heat_flux, s.expect("oce.heat_flux"));
-        copy2(&mut o.fw_flux, s.expect("oce.fw_flux"));
-        copy2(&mut o.pco2_atm, s.expect("oce.pco2"));
-        copy2(&mut o.heat_acc, s.expect("oce.heat_acc"));
-        copy2(&mut o.salt_acc, s.expect("oce.salt_acc"));
-        copy2(&mut o.ice_fw_acc, s.expect("oce.ice_fw_acc"));
-
-        for (i, tr) in self.hamocc.tracers.iter_mut().enumerate() {
-            copy3(tr, s.expect(&format!("bgc.tr{i:02}")));
+    /// The table's buffers owned by `side` (all of them for `None`).
+    fn snapshot_buffers(&self, side: Option<Side>) -> Snap {
+        let mut s = Snap(iosys::Snapshot::new());
+        for (name, owner, buf) in self.state_buffers() {
+            if side.is_none_or(|side| side == owner) {
+                s.push(name, match buf {
+                    Buf::F64(v) => v.to_vec(),
+                    Buf::Mask(m) => m.iter().map(|&b| b as u8 as f64).collect(),
+                });
+            }
         }
-        copy2(&mut self.hamocc.sediment_p, s.expect("bgc.sed_p"));
-        copy2(&mut self.hamocc.sediment_c, s.expect("bgc.sed_c"));
-        copy2(&mut self.hamocc.sediment_si, s.expect("bgc.sed_si"));
-        copy2(&mut self.hamocc.co2_flux_up, s.expect("bgc.co2_flux"));
-        copy2(&mut self.hamocc.co2_flux_acc, s.expect("bgc.co2_acc"));
-        copy2(&mut self.hamocc.sw_down, s.expect("bgc.sw"));
-        copy2(&mut self.hamocc.wind, s.expect("bgc.wind"));
-        copy2(&mut self.hamocc.pco2_atm, s.expect("bgc.pco2"));
+        s
+    }
+
+    fn restore_buffers(&mut self, s: &iosys::Snapshot, side: Option<Side>) {
+        for (name, owner, buf) in self.state_buffers_mut() {
+            if side.is_none_or(|side| side == owner) {
+                let saved = s.expect(&name);
+                match buf {
+                    Buf::F64(v) => v.copy_from_slice(saved),
+                    Buf::Mask(m) => {
+                        for (b, v) in m.iter_mut().zip(saved) {
+                            *b = *v != 0.0;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The coupler lag state as snapshot variables, `pend_fast.*` first.
+    fn lag_vars(&self) -> impl Iterator<Item = (String, &Vec<f64>)> {
+        [
+            ("pend_fast", &self.pending_to_fast),
+            ("pend_slow", &self.pending_to_slow),
+        ]
+        .into_iter()
+        .flat_map(|(prefix, fx)| {
+            fx.fields
+                .iter()
+                .map(move |(name, data)| (format!("{prefix}.{name}"), data))
+        })
     }
 
     /// Snapshot variables an SDC fault plan may flip bits in: every f64
-    /// state buffer. Excluded: `atm.is_water` (a bool mask encoded as
-    /// f64 — a mantissa flip there is not a representable state) and
-    /// `esm.scalars` (scheduling metadata, not model state).
+    /// state buffer and lag flux, in snapshot order. Excluded: the bool
+    /// mask (a mantissa flip there is not a representable state) and the
+    /// scalars (scheduling metadata, not model state).
     pub fn flippable_var_names(&self) -> Vec<String> {
-        self.snapshot()
-            .vars
-            .into_iter()
-            .map(|(n, _)| n)
-            .filter(|n| n != "atm.is_water" && n != "esm.scalars")
+        self.state_buffers()
+            .filter(|(_, _, buf)| matches!(buf, Buf::F64(_)))
+            .map(|(name, _, _)| name.into_owned())
+            .chain(self.lag_vars().map(|(name, _)| name))
             .collect()
     }
 
     /// Mutable access to a named snapshot variable's live buffer (the
-    /// SDC injection point). `None` for unknown names and for the
-    /// non-f64 variables excluded from [`CoupledEsm::flippable_var_names`].
+    /// SDC injection point). `None` for every name not listed by
+    /// [`CoupledEsm::flippable_var_names`].
     pub fn state_var_mut(&mut self, name: &str) -> Option<&mut [f64]> {
-        if let Some(field) = name.strip_prefix("pend_fast.") {
-            return self
-                .pending_to_fast
-                .fields
-                .iter_mut()
-                .find(|(n, _)| *n == field)
-                .map(|(_, d)| d.as_mut_slice());
-        }
-        if let Some(field) = name.strip_prefix("pend_slow.") {
-            return self
-                .pending_to_slow
-                .fields
-                .iter_mut()
-                .find(|(n, _)| *n == field)
-                .map(|(_, d)| d.as_mut_slice());
-        }
-        if let Some(idx) = name.strip_prefix("bgc.tr") {
-            if let Ok(i) = idx.parse::<usize>() {
-                return self.hamocc.tracers.get_mut(i).map(|t| t.as_mut_slice());
+        let (lag, field) = if let Some(field) = name.strip_prefix("pend_fast.") {
+            (&mut self.pending_to_fast, field)
+        } else if let Some(field) = name.strip_prefix("pend_slow.") {
+            (&mut self.pending_to_slow, field)
+        } else {
+            return self.state_buffers_mut().find_map(|(n, _, buf)| match buf {
+                Buf::F64(v) if n == name => Some(v),
+                _ => None,
+            });
+        };
+        lag.fields
+            .iter_mut()
+            .find(|(n, _)| *n == field)
+            .map(|(_, d)| d.as_mut_slice())
+    }
+
+    /// Which component group owns a snapshot variable: `None` for the
+    /// coupler lag state and the scalars.
+    pub(crate) fn var_side(&self, name: &str) -> Option<Side> {
+        self.state_buffers()
+            .find(|(n, _, _)| n == name)
+            .map(|(_, side, _)| side)
+    }
+}
+
+/// The static buffers, listed once with their owning side: read by every
+/// window, written by none (dace-mini's write-set analysis proves the
+/// analogous DSL fields untouched). They are outside the snapshot
+/// precisely *because* they never change — which also makes them the
+/// canonical target for silent memory corruption, caught by the
+/// quiescence-checksum detector ([`crate::sdc::QuiescenceReference`]).
+macro_rules! static_buffers {
+    ($($name:literal => $side:ident: $($field:ident).+,)+) => {
+        impl CoupledEsm {
+            /// Registry names of the static buffers.
+            pub const QUIESCENT_BUFFERS: [&'static str; [$($name),+].len()] = [$($name),+];
+
+            /// Read access to a quiescent (static) buffer by registry name.
+            pub fn quiescent_buffer(&self, name: &str) -> Option<&[f64]> {
+                match name {
+                    $($name => Some(self.$($field).+.as_slice()),)+
+                    _ => None,
+                }
+            }
+
+            /// Mutable access to a quiescent buffer (the SDC injection
+            /// point for [`crate::sdc::SdcMode::Quiescent`] and the repair
+            /// path).
+            pub fn quiescent_buffer_mut(&mut self, name: &str) -> Option<&mut [f64]> {
+                match name {
+                    $($name => Some(self.$($field).+.as_mut_slice()),)+
+                    _ => None,
+                }
+            }
+
+            /// Which component group owns a static buffer.
+            pub(crate) fn quiescent_side(name: &str) -> Option<Side> {
+                match name {
+                    $($name => Some(Side::$side),)+
+                    _ => None,
+                }
             }
         }
-        let a = &mut self.atm.state;
-        let l = &mut self.land.state;
-        let o = &mut self.ocean.state;
-        let b = &mut self.hamocc;
-        Some(match name {
-            "atm.delta" => a.delta.as_mut_slice(),
-            "atm.vn" => a.vn.as_mut_slice(),
-            "atm.qv" => a.qv.as_mut_slice(),
-            "atm.qc" => a.qc.as_mut_slice(),
-            "atm.co2" => a.co2.as_mut_slice(),
-            "atm.o3" => a.o3.as_mut_slice(),
-            "atm.precip_acc" => a.precip_acc.as_mut_slice(),
-            "atm.evap_acc" => a.evap_acc.as_mut_slice(),
-            "atm.precip_rate" => a.precip_rate.as_mut_slice(),
-            "atm.evap_rate" => a.evap_rate.as_mut_slice(),
-            "atm.t_surface" => a.t_surface.as_mut_slice(),
-            "atm.co2_flux" => a.co2_surface_flux.as_mut_slice(),
-            "atm.lmf" => a.land_moisture_flux.as_mut_slice(),
-            "land.t_soil" => l.t_soil.as_mut_slice(),
-            "land.w_liquid" => l.w_liquid.as_mut_slice(),
-            "land.w_ice" => l.w_ice.as_mut_slice(),
-            "land.q_organic" => l.q_organic.as_mut_slice(),
-            "land.pools" => &mut l.pools,
-            "land.lai" => &mut l.lai,
-            "land.river_storage" => &mut l.river_storage,
-            "land.nee" => &mut l.nee,
-            "land.et" => &mut l.evapotranspiration,
-            "land.nee_acc" => &mut l.nee_acc,
-            "land.et_acc" => &mut l.et_acc,
-            "land.precip_acc" => &mut l.precip_acc,
-            "land.runoff_acc" => &mut l.runoff_acc,
-            "oce.vn" => o.vn.as_mut_slice(),
-            "oce.temp" => o.temp.as_mut_slice(),
-            "oce.salt" => o.salt.as_mut_slice(),
-            "oce.w" => o.w.as_mut_slice(),
-            "oce.eta" => o.eta.as_mut_slice(),
-            "oce.ice" => o.ice_thick.as_mut_slice(),
-            "oce.wind_stress" => o.wind_stress_n.as_mut_slice(),
-            "oce.heat_flux" => o.heat_flux.as_mut_slice(),
-            "oce.fw_flux" => o.fw_flux.as_mut_slice(),
-            "oce.pco2" => o.pco2_atm.as_mut_slice(),
-            "oce.heat_acc" => o.heat_acc.as_mut_slice(),
-            "oce.salt_acc" => o.salt_acc.as_mut_slice(),
-            "oce.ice_fw_acc" => o.ice_fw_acc.as_mut_slice(),
-            "bgc.sed_p" => b.sediment_p.as_mut_slice(),
-            "bgc.sed_c" => b.sediment_c.as_mut_slice(),
-            "bgc.sed_si" => b.sediment_si.as_mut_slice(),
-            "bgc.co2_flux" => b.co2_flux_up.as_mut_slice(),
-            "bgc.co2_acc" => b.co2_flux_acc.as_mut_slice(),
-            "bgc.sw" => b.sw_down.as_mut_slice(),
-            "bgc.wind" => b.wind.as_mut_slice(),
-            "bgc.pco2" => b.pco2_atm.as_mut_slice(),
-            _ => return None,
-        })
-    }
+    };
+}
 
-    /// The static buffers: read by every window, written by none
-    /// (dace-mini's write-set analysis proves the analogous DSL fields
-    /// untouched). They are outside the snapshot precisely *because*
-    /// they never change — which also makes them the canonical target
-    /// for silent memory corruption, caught by the quiescence-checksum
-    /// detector ([`crate::sdc::QuiescenceReference`]).
-    pub const QUIESCENT_BUFFERS: [&'static str; 5] = [
-        "static.z_surface",
-        "static.layer_temp",
-        "static.elevation",
-        "static.bathymetry",
-        "static.oce_dz",
-    ];
-
-    /// Read access to a quiescent (static) buffer by registry name.
-    pub fn quiescent_buffer(&self, name: &str) -> Option<&[f64]> {
-        Some(match name {
-            "static.z_surface" => self.atm.z_surface.as_slice(),
-            "static.layer_temp" => &self.atm.params.layer_temp,
-            "static.elevation" => &self.mask.elevation,
-            "static.bathymetry" => &self.mask.bathymetry,
-            "static.oce_dz" => &self.ocean.params.dz,
-            _ => return None,
-        })
-    }
-
-    /// Mutable access to a quiescent buffer (the SDC injection point for
-    /// [`crate::sdc::SdcMode::Quiescent`] and the repair path).
-    pub fn quiescent_buffer_mut(&mut self, name: &str) -> Option<&mut [f64]> {
-        Some(match name {
-            "static.z_surface" => self.atm.z_surface.as_mut_slice(),
-            "static.layer_temp" => &mut self.atm.params.layer_temp,
-            "static.elevation" => &mut self.mask.elevation,
-            "static.bathymetry" => &mut self.mask.bathymetry,
-            "static.oce_dz" => &mut self.ocean.params.dz,
-            _ => return None,
-        })
-    }
+static_buffers! {
+    "static.z_surface" => Fast: atm.z_surface,
+    "static.layer_temp" => Fast: atm.params.layer_temp,
+    "static.elevation" => Fast: mask.elevation,
+    "static.bathymetry" => Slow: mask.bathymetry,
+    "static.oce_dz" => Slow: ocean.params.dz,
 }
 
 /// The variable names pushed by the snapshot builders are distinct by

@@ -155,14 +155,14 @@ pub fn coupler_exchange_spec(decomp: &Decomposition, tag_base: u64) -> ProtocolS
 }
 
 /// Every driver spec the static verifier (and `esm-lint`'s `protocol`
-/// phase) must prove clean: the resilient guard at its default width,
+/// phase) must prove clean: the resilient guard at its fixed width,
 /// the supervised heartbeat, and the coupler halo exchange over a small
 /// real decomposition.
 pub fn all_specs() -> Vec<ProtocolSpec> {
     let grid = icongrid::Grid::build(2, icongrid::EARTH_RADIUS_M);
     let decomp = Decomposition::new(&grid, 4);
     vec![
-        guard_spec(crate::ResilienceConfig::default().guard_ranks),
+        guard_spec(crate::resilience::GUARD_RANKS),
         supervised_spec(),
         coupler_exchange_spec(&decomp, 100),
     ]

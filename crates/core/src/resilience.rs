@@ -18,7 +18,7 @@
 //!                            of the same window
 //! ```
 //!
-//! The **guard** is a genuinely distributed health check: `guard_ranks`
+//! The **guard** is a genuinely distributed health check: `GUARD_RANKS`
 //! mpisim rank-threads each scan a shard of the snapshot for non-finite or
 //! out-of-range values and report to rank 0 over fault-injectable
 //! point-to-point messages with [`mpisim::Comm::recv_timeout`]; rank 0
@@ -33,6 +33,7 @@
 use crate::esm::CoupledEsm;
 use crate::health::{HealthError, HealthEvent};
 use crate::sdc::{self, QuiescenceReference, StateFaultPlan};
+use crate::supervisor::Side;
 use coupler::{FluxError, QuarantineEvent};
 use iosys::{
     CheckpointRing, FullPolicy, OutputPolicy, OutputRequest, OutputServer, RealFs, Reduction,
@@ -43,25 +44,31 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Shard files per checkpoint generation of the resilient driver.
+const CHECKPOINT_FILES: usize = 3;
+/// Checkpoint generations retained in the resilient driver's ring.
+const KEEP_GENERATIONS: usize = 3;
+/// Staggered reader groups when either driver restores a generation.
+pub(crate) const RESTORE_READERS: usize = 2;
+/// Rank-threads in the distributed blow-up guard (>= 2).
+pub(crate) const GUARD_RANKS: usize = 3;
+/// Blow-up threshold: any |value| above this fails the guard. Generous:
+/// bookkeeping accumulators (e.g. total water handed to the ocean)
+/// legitimately reach 1e13+ on the tiny config; a genuine blow-up
+/// overflows toward infinity well past this.
+const MAX_ABS: f64 = 1e30;
+/// Queue depth of the diagnostics output server.
+const OUTPUT_QUEUE: usize = 16;
+
 /// Tuning knobs for the resilient driver.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Write a checkpoint generation every this many completed windows.
     pub checkpoint_every: u64,
-    /// Shard files per checkpoint generation.
-    pub n_files: usize,
-    /// Staggered reader groups on restore.
-    pub n_readers: usize,
-    /// Checkpoint generations retained in the ring.
-    pub keep_generations: usize,
-    /// Rank-threads in the distributed blow-up guard (>= 2).
-    pub guard_ranks: usize,
     /// Per-message receive deadline inside the guard.
     pub recv_timeout: Duration,
     /// Rollback attempts for one window before giving up.
     pub max_retries_per_window: u32,
-    /// Blow-up threshold: any |value| above this fails the guard.
-    pub max_abs: f64,
     /// Chaos hook: flip one byte in the first shard of these generation
     /// numbers right after they are written, simulating silent storage
     /// corruption that the next restore must detect and fall back over.
@@ -75,8 +82,6 @@ pub struct ResilienceConfig {
     /// windows (`0`: diagnostics off). Diagnostics are shed, never
     /// blocking and never fatal.
     pub diagnostics_every: u64,
-    /// Queue depth of the diagnostics output server.
-    pub output_queue: usize,
     /// Enable the SDC detector suite and audit every this many windows
     /// (`0`: off). When on, every completed window is additionally
     /// screened by quiescence checksums, an audit replay (restore the
@@ -100,21 +105,12 @@ impl Default for ResilienceConfig {
     fn default() -> ResilienceConfig {
         ResilienceConfig {
             checkpoint_every: 2,
-            n_files: 3,
-            n_readers: 2,
-            keep_generations: 3,
-            guard_ranks: 3,
             recv_timeout: Duration::from_millis(150),
             max_retries_per_window: 3,
-            // Generous: bookkeeping accumulators (e.g. total water handed
-            // to the ocean) legitimately reach 1e13+ on the tiny config; a
-            // genuine blow-up overflows toward infinity well past this.
-            max_abs: 1e30,
             corrupt_generations: Vec::new(),
             storage: None,
             checkpoint_retry: RetryPolicy::default(),
             diagnostics_every: 0,
-            output_queue: 16,
             audit_every: 0,
             delta_frac: 0.9,
             sdc: None,
@@ -296,7 +292,7 @@ impl std::fmt::Display for GuardFail {
 /// Per-variable guard bounds: coupling fluxes in the lag state
 /// (`pend_fast.*` / `pend_slow.*`) are screened against their declared
 /// physical range from `coupler::fluxreg`; every other variable keeps
-/// the global `max_abs` scalar as the final backstop.
+/// the global [`MAX_ABS`] scalar as the final backstop.
 fn guard_bounds(name: &str, max_abs: f64) -> (f64, f64) {
     name.strip_prefix("pend_fast.")
         .or_else(|| name.strip_prefix("pend_slow."))
@@ -327,7 +323,7 @@ fn scan_shard(
     [0.0, 0.0, 0.0]
 }
 
-/// One distributed guard round over `guard_ranks` mpisim rank-threads.
+/// One distributed guard round over [`GUARD_RANKS`] mpisim rank-threads.
 #[cfg(test)]
 fn distributed_guard(
     snapshot: &Snapshot,
@@ -350,14 +346,14 @@ fn distributed_guard_checked(
     Result<(), GuardFail>,
     Result<mpisim::ConformSummary, mpisim::ProtocolViolation>,
 ) {
-    let n = rcfg.guard_ranks.max(2);
+    let n = GUARD_RANKS;
     let vars = &snapshot.vars;
     let partial_tag = window * 2;
     let verdict_tag = window * 2 + 1;
     let timeout = rcfg.recv_timeout;
     let bounds_vec: Vec<(f64, f64)> = vars
         .iter()
-        .map(|(name, _)| guard_bounds(name, rcfg.max_abs))
+        .map(|(name, _)| guard_bounds(name, MAX_ABS))
         .collect();
     let bounds = &bounds_vec;
 
@@ -454,8 +450,9 @@ enum WindowFault {
     /// Quiescence CRC mismatch in these static buffers (repaired from
     /// the pristine reference before the rollback).
     Checksum { buffers: Vec<&'static str> },
-    /// Audit replay diverged from the primary execution at this var.
-    Audit { var: String },
+    /// Audit replay diverged from the primary execution at this var,
+    /// owned by this side (`None`: coupler lag state).
+    Audit { var: String, side: Option<Side> },
 }
 
 impl std::fmt::Display for WindowFault {
@@ -465,32 +462,17 @@ impl std::fmt::Display for WindowFault {
             WindowFault::Checksum { buffers } => {
                 let what: Vec<String> = buffers
                     .iter()
-                    .map(|b| {
-                        let side = match sdc::quiescent_side(b) {
-                            crate::supervisor::Side::Fast => "fast",
-                            crate::supervisor::Side::Slow => "slow",
-                        };
-                        format!("{b} ({side} side)")
-                    })
+                    .map(|b| format!("{b} ({} side)", sdc::quiescent_side(b).stem()))
                     .collect();
                 write!(f, "quiescent checksum mismatch: {}", what.join(", "))
             }
-            WindowFault::Audit { var } => {
-                write!(f, "audit replay diverged at {var} ({})", side_of_var(var))
+            WindowFault::Audit { var, side: Some(side) } => {
+                write!(f, "audit replay diverged at {var} ({} side)", side.stem())
+            }
+            WindowFault::Audit { var, side: None } => {
+                write!(f, "audit replay diverged at {var} (coupler lag state)")
             }
         }
-    }
-}
-
-/// Which component group owns a snapshot variable (localization in the
-/// report strings).
-fn side_of_var(name: &str) -> &'static str {
-    if name.starts_with("atm.") || name.starts_with("land.") {
-        "fast side"
-    } else if name.starts_with("oce.") || name.starts_with("bgc.") {
-        "slow side"
-    } else {
-        "coupler lag state"
     }
 }
 
@@ -536,14 +518,55 @@ fn delta_suspicion(prev: &Snapshot, cur: &Snapshot, frac: f64) -> Option<String>
     None
 }
 
-/// Flip one byte in the first shard file of `generation` (chaos hook).
-fn corrupt_generation_on_disk(dir: &Path, generation: u64) -> Result<(), RestartError> {
-    let path = dir.join(format!("restart.g{generation:04}_000.esmr"));
-    let mut bytes = std::fs::read(&path).map_err(RestartError::Io)?;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&path, &bytes).map_err(RestartError::Io)?;
-    Ok(())
+/// Open one of a driver's checkpoint rings with the `retry` policy for
+/// generation writes.
+pub(crate) fn open_ring(
+    storage: &Arc<dyn Storage>,
+    dir: &Path,
+    stem: &str,
+    keep: usize,
+    retry: RetryPolicy,
+) -> Result<CheckpointRing, RestartError> {
+    let mut ring = CheckpointRing::new_with(storage.clone(), dir, stem, keep)?;
+    ring.set_retry(retry);
+    Ok(ring)
+}
+
+impl ResilienceReport {
+    /// Write `snap` as the next generation of `ring` and account for it.
+    /// A written generation counts in `checkpoints_written`; the chaos
+    /// hook then flips one byte in its first shard if `corrupt` lists it,
+    /// simulating silent storage damage. A failed write
+    /// (after the ring's own retries) is degraded, not fatal: it counts
+    /// in `checkpoint_failures` and adds the one `faults_absorbed` line
+    /// that `describe` words, and the ring keeps its previous generations.
+    pub(crate) fn write_checkpoint(
+        &mut self,
+        ring: &mut CheckpointRing,
+        snap: &Snapshot,
+        n_files: usize,
+        corrupt: &[u64],
+        describe: impl FnOnce(RestartError) -> String,
+    ) -> Result<Option<u64>, RestartError> {
+        match ring.write(snap, n_files) {
+            Ok(generation) => {
+                self.checkpoints_written += 1;
+                if corrupt.contains(&generation) {
+                    let path = ring.shard_path(generation, 0);
+                    let mut bytes = std::fs::read(&path)?;
+                    let mid = bytes.len() / 2;
+                    bytes[mid] ^= 0x40;
+                    std::fs::write(&path, &bytes)?;
+                }
+                Ok(Some(generation))
+            }
+            Err(e) => {
+                self.checkpoint_failures += 1;
+                self.faults_absorbed.push(describe(e));
+                Ok(None)
+            }
+        }
+    }
 }
 
 impl CoupledEsm {
@@ -576,17 +599,16 @@ impl CoupledEsm {
         let mut report = ResilienceReport::default();
         let w0 = self.windows_run();
         let storage = rcfg.storage.clone().unwrap_or_else(RealFs::shared);
-        let mut ring =
-            CheckpointRing::new_with(storage.clone(), dir, "restart", rcfg.keep_generations)?;
-        ring.set_retry(rcfg.checkpoint_retry);
+        let retry = rcfg.checkpoint_retry;
+        let mut ring = open_ring(&storage, dir, "restart", KEEP_GENERATIONS, retry)?;
 
         // Diagnostics ride a shedding output server: they must never
         // block the integration or kill the run.
         let mut diag: Option<OutputServer> = if rcfg.diagnostics_every > 0 {
             match OutputServer::spawn_with(
-                storage.clone(),
+                storage,
                 dir.join("diag"),
-                rcfg.output_queue,
+                OUTPUT_QUEUE,
                 OutputPolicy {
                     on_full: FullPolicy::Shed,
                     ..OutputPolicy::default()
@@ -608,24 +630,14 @@ impl CoupledEsm {
         let mut max_posted = 0u64;
 
         // Generation 1: the starting state, so the very first window can
-        // roll back. A failed write is degraded, not fatal — the run just
-        // has no rollback point until the next checkpoint lands.
-        let mut newest_gen = 0u64;
-        match ring.write(&self.snapshot(), rcfg.n_files) {
-            Ok(g) => {
-                newest_gen = g;
-                report.checkpoints_written += 1;
-                if rcfg.corrupt_generations.contains(&newest_gen) {
-                    corrupt_generation_on_disk(dir, newest_gen)?;
-                }
-            }
-            Err(e) => {
-                report.checkpoint_failures += 1;
-                report
-                    .faults_absorbed
-                    .push(format!("initial checkpoint write failed ({e})"));
-            }
-        }
+        // roll back. A failed write just leaves the run without a
+        // rollback point until the next checkpoint lands.
+        let corrupt = &rcfg.corrupt_generations;
+        let mut newest_gen = report
+            .write_checkpoint(&mut ring, &self.snapshot(), CHECKPOINT_FILES, corrupt, |e| {
+                format!("initial checkpoint write failed ({e})")
+            })?
+            .unwrap_or(0);
 
         // SDC detector state (audit_every > 0). The quiescence reference
         // and the first verified snapshot are captured before any flip
@@ -700,7 +712,10 @@ impl CoupledEsm {
                             .map_err(|error| EsmError::Flux { window, error })?;
                         match first_bitwise_mismatch(&self.snapshot(), &snap) {
                             None => audit_passed = true,
-                            Some(var) => fault = Some(WindowFault::Audit { var }),
+                            Some(var) => {
+                                let side = self.var_side(&var);
+                                fault = Some(WindowFault::Audit { var, side });
+                            }
                         }
                     }
                 }
@@ -746,25 +761,17 @@ impl CoupledEsm {
                     done += 1;
                     attempts = 0;
                     if done.is_multiple_of(rcfg.checkpoint_every) || done == n_windows {
-                        match ring.write(&snap, rcfg.n_files) {
-                            Ok(g) => {
-                                newest_gen = g;
-                                report.checkpoints_written += 1;
-                                if rcfg.corrupt_generations.contains(&newest_gen) {
-                                    corrupt_generation_on_disk(dir, newest_gen)?;
-                                }
-                            }
-                            Err(e) => {
-                                // Degraded, not fatal: the ring still holds
-                                // the previous intact generation, so a later
-                                // rollback just falls back one further.
-                                report.checkpoint_failures += 1;
-                                report.faults_absorbed.push(format!(
-                                    "window {done}: checkpoint write failed ({e}); \
-                                     continuing on generation {newest_gen}"
-                                ));
-                            }
-                        }
+                        // On a failed write a later rollback just falls
+                        // back one generation further.
+                        let note = move |e| {
+                            format!(
+                                "window {done}: checkpoint write failed ({e}); \
+                                 continuing on generation {newest_gen}"
+                            )
+                        };
+                        newest_gen = report
+                            .write_checkpoint(&mut ring, &snap, CHECKPOINT_FILES, corrupt, note)?
+                            .unwrap_or(newest_gen);
                     }
                     if rcfg.diagnostics_every > 0
                         && done > max_posted
@@ -830,7 +837,7 @@ impl CoupledEsm {
                     }
                     // Roll back to the newest generation that reads back
                     // intact; torn or bit-flipped generations are skipped.
-                    let (g, good) = ring.read_latest_intact(rcfg.n_readers)?;
+                    let (g, good) = ring.read_latest_intact(RESTORE_READERS)?;
                     if g != newest_gen {
                         report.generation_fallbacks += 1;
                         newest_gen = g;
@@ -881,7 +888,6 @@ mod tests {
 
     fn quick_rcfg() -> ResilienceConfig {
         ResilienceConfig {
-            guard_ranks: 3,
             recv_timeout: Duration::from_millis(60),
             ..ResilienceConfig::default()
         }

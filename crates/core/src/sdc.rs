@@ -72,7 +72,8 @@ impl SdcMode {
 /// Which buffer one planned flip lands in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlipTarget {
-    /// A named snapshot variable (e.g. `"oce.temp"`, `"pend_slow.heat_flux"`).
+    /// A named snapshot variable, one of
+    /// [`CoupledEsm::flippable_var_names`]; any other name flips nothing.
     Var(String),
     /// Seeded: resolved modulo the flippable-variable list at fire time.
     VarIndex(u64),
@@ -288,12 +289,9 @@ pub fn crc_f64(data: &[f64]) -> u32 {
 }
 
 /// Which component group owns a static buffer (for per-side corruption
-/// localization in the supervisor).
+/// localization in the supervisor). Unknown names count as fast.
 pub fn quiescent_side(name: &str) -> Side {
-    match name {
-        "static.bathymetry" | "static.oce_dz" => Side::Slow,
-        _ => Side::Fast,
-    }
+    CoupledEsm::quiescent_side(name).unwrap_or(Side::Fast)
 }
 
 /// Reference checksums and pristine copies of every quiescent (static)

@@ -42,12 +42,19 @@
 
 use crate::esm::CoupledEsm;
 use crate::health::{FailureDetector, HealthConfig, HealthError, Verdict};
-use crate::resilience::{EsmError, ResilienceReport};
+use crate::resilience::{open_ring, EsmError, ResilienceReport, RESTORE_READERS};
 use coupler::{FluxSet, PersistenceFallback, QuarantineGate, RepairPolicy};
 use iosys::{CheckpointRing, RealFs, RestartError, RetryPolicy, Storage};
 use mpisim::{conform, heartbeat_round_traced, FaultPlan};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Shard files per generation of each side's checkpoint ring.
+const SIDE_CHECKPOINT_FILES: usize = 2;
+/// Generations retained per side's ring.
+const SIDE_KEEP_GENERATIONS: usize = 4;
+/// Respawns allowed per side before giving up.
+const MAX_RESPAWNS: u32 = 4;
 
 /// The two supervised component groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +90,7 @@ impl Side {
         }
     }
 
-    fn stem(self) -> &'static str {
+    pub(crate) fn stem(self) -> &'static str {
         match self {
             Side::Fast => "fast",
             Side::Slow => "slow",
@@ -97,12 +104,6 @@ pub struct SupervisorConfig {
     /// Write per-side checkpoint generations every this many healthy
     /// completed windows.
     pub checkpoint_every: u64,
-    /// Shard files per checkpoint generation.
-    pub n_files: usize,
-    /// Staggered reader groups on restore.
-    pub n_readers: usize,
-    /// Generations retained per side's ring.
-    pub keep_generations: usize,
     /// Heartbeat timing and the suspicion threshold.
     pub health: HealthConfig,
     /// Windows between failure declaration and the respawn attempt
@@ -113,8 +114,6 @@ pub struct SupervisorConfig {
     pub max_consecutive_degraded: u32,
     /// Repair policy of the field-quarantine gates.
     pub policy: RepairPolicy,
-    /// Respawns allowed per side before giving up.
-    pub max_respawns: u32,
     /// Chaos hook: at (supervised-local window, field), overwrite entry 0
     /// of that field in its producer's output with NaN — re-applied
     /// identically during replay, like a deterministic model bug.
@@ -137,14 +136,10 @@ impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
             checkpoint_every: 2,
-            n_files: 2,
-            n_readers: 2,
-            keep_generations: 4,
             health: HealthConfig::default(),
             respawn_delay_windows: 1,
             max_consecutive_degraded: 4,
             policy: RepairPolicy::ClampToBounds,
-            max_respawns: 4,
             corrupt_flux: Vec::new(),
             storage: None,
             checkpoint_retry: RetryPolicy::default(),
@@ -249,27 +244,39 @@ impl Supervision<'_> {
     /// ring's own retries) is a recorded degraded event, not a run
     /// killer: that side simply has no generation at this base, and
     /// `recover` falls back to the previous *common* base.
-    fn checkpoint(&mut self, esm: &CoupledEsm, completed: u64) {
+    fn checkpoint(&mut self, esm: &CoupledEsm, completed: u64) -> Result<(), RestartError> {
         for side in SIDES {
             let snap = match side {
                 Side::Fast => esm.snapshot_fast(),
                 Side::Slow => esm.snapshot_slow(),
             };
-            match self.rings[side.idx()].write(&snap, self.scfg.n_files) {
-                Ok(gen) => {
-                    self.gen_at[side.idx()].push((gen, completed));
-                    self.report.checkpoints_written += 1;
-                    self.newest_gen = self.newest_gen.max(gen);
-                }
-                Err(e) => {
-                    self.report.checkpoint_failures += 1;
-                    self.report.faults_absorbed.push(format!(
-                        "window {completed}: {} checkpoint write failed ({e})",
-                        side.stem()
-                    ));
-                }
+            let describe =
+                |e| format!("window {completed}: {} checkpoint write failed ({e})", side.stem());
+            let ring = &mut self.rings[side.idx()];
+            let files = SIDE_CHECKPOINT_FILES;
+            if let Some(gen) = self.report.write_checkpoint(ring, &snap, files, &[], describe)? {
+                self.gen_at[side.idx()].push((gen, completed));
+                self.newest_gen = self.newest_gen.max(gen);
             }
         }
+        Ok(())
+    }
+
+    /// Declare `side` dead at window `abs`: poison its live state and
+    /// charge one respawn against its budget.
+    fn fail(&mut self, esm: &mut CoupledEsm, side: Side, abs: u64) -> Result<(), EsmError> {
+        poison(esm, side);
+        let respawns = &mut self.respawns[side.idx()];
+        *respawns += 1;
+        if *respawns > MAX_RESPAWNS {
+            return Err(HealthError::RespawnBudgetExhausted {
+                window: abs,
+                rank: side.rank(),
+                respawns: *respawns,
+            }
+            .into());
+        }
+        Ok(())
     }
 
     /// Localized recovery of `failed` at local window `w`: restore both
@@ -298,8 +305,8 @@ impl Supervision<'_> {
             };
             // Damaged or pruned generations are skipped; recovery walks
             // back to the next common base, exactly like the global ring.
-            let fast = self.rings[0].read_generation(gf, self.scfg.n_readers);
-            let slow = self.rings[1].read_generation(gs, self.scfg.n_readers);
+            let fast = self.rings[0].read_generation(gf, RESTORE_READERS);
+            let slow = self.rings[1].read_generation(gs, RESTORE_READERS);
             match (fast, slow) {
                 (Ok(sf), Ok(ss)) => {
                     restored = Some((base, if failed == Side::Fast { gf } else { gs }, sf, ss));
@@ -417,26 +424,11 @@ impl CoupledEsm {
             init_to_slow: self.pending_to_slow.clone(),
             rings: {
                 let storage = scfg.storage.clone().unwrap_or_else(RealFs::shared);
-                let mut rings = [
-                    CheckpointRing::new_with(
-                        storage.clone(),
-                        dir,
-                        Side::Fast.stem(),
-                        scfg.keep_generations,
-                    )
-                    .map_err(EsmError::Restart)?,
-                    CheckpointRing::new_with(
-                        storage,
-                        dir,
-                        Side::Slow.stem(),
-                        scfg.keep_generations,
-                    )
-                    .map_err(EsmError::Restart)?,
-                ];
-                for ring in &mut rings {
-                    ring.set_retry(scfg.checkpoint_retry);
-                }
-                rings
+                let open = |side: Side| {
+                    let keep = SIDE_KEEP_GENERATIONS;
+                    open_ring(&storage, dir, side.stem(), keep, scfg.checkpoint_retry)
+                };
+                [open(Side::Fast)?, open(Side::Slow)?]
             },
             gen_at: [Vec::new(), Vec::new()],
             out_log: [vec![None; n as usize], vec![None; n as usize]],
@@ -451,7 +443,7 @@ impl CoupledEsm {
             newest_gen: 0,
         };
         // Generation covering the starting state, so window 0 can recover.
-        sup.checkpoint(self, 0);
+        sup.checkpoint(self, 0)?;
         let hb_spec = crate::protocolspec::supervised_spec();
         // Pristine static-buffer checksums, captured before any SDC flip
         // can fire.
@@ -502,17 +494,8 @@ impl CoupledEsm {
                 let i = side.idx();
                 match verdicts[side.rank()] {
                     Verdict::NewlyFailed => {
-                        poison(self, side);
+                        sup.fail(self, side, abs)?;
                         sup.down[i] = true;
-                        sup.respawns[i] += 1;
-                        if sup.respawns[i] > scfg.max_respawns {
-                            return Err(HealthError::RespawnBudgetExhausted {
-                                window: abs,
-                                rank: side.rank(),
-                                respawns: sup.respawns[i],
-                            }
-                            .into());
-                        }
                         sup.respawn_at[i] = Some(w + scfg.respawn_delay_windows);
                     }
                     Verdict::Healthy => {
@@ -570,23 +553,13 @@ impl CoupledEsm {
                     for name in &dirty {
                         q.repair(self, name);
                     }
-                    let i = side.idx();
                     sup.report.sdc_detected_checksum += 1;
                     sup.report.faults_absorbed.push(format!(
                         "window {abs}: quiescent checksum mismatch on {} side: {}",
                         side.stem(),
                         dirty.join(", ")
                     ));
-                    poison(self, side);
-                    sup.respawns[i] += 1;
-                    if sup.respawns[i] > scfg.max_respawns {
-                        return Err(HealthError::RespawnBudgetExhausted {
-                            window: abs,
-                            rank: side.rank(),
-                            respawns: sup.respawns[i],
-                        }
-                        .into());
-                    }
+                    sup.fail(self, side, abs)?;
                     sup.recover(self, side, w + 1)?;
                 }
             }
@@ -600,7 +573,7 @@ impl CoupledEsm {
                 && !sup.detector.any_unhealthy()
                 && (w + 1).is_multiple_of(scfg.checkpoint_every)
             {
-                sup.checkpoint(self, w + 1);
+                sup.checkpoint(self, w + 1)?;
             }
         }
 

@@ -531,6 +531,11 @@ impl CheckpointRing {
         format!("{}.g{generation:04}", self.stem)
     }
 
+    /// Path of shard `file` of `generation`.
+    pub fn shard_path(&self, generation: u64, file: usize) -> PathBuf {
+        self.dir.join(format!("{}_{file:03}.esmr", self.gen_stem(generation)))
+    }
+
     /// Generation numbers currently on disk, sorted ascending.
     pub fn generations(&self) -> Result<Vec<u64>, RestartError> {
         let mut gens: Vec<u64> = Vec::new();

@@ -61,7 +61,6 @@ fn chaos_full_schedule_at(threads: usize) {
     );
     let rcfg = ResilienceConfig {
         checkpoint_every: 2,
-        guard_ranks: 3,
         recv_timeout: Duration::from_millis(80),
         // Generations: 1 = initial, 2 = after window 2, 3 = after window 4.
         // Corrupting 3 forces the window-5 rollback to fall back to 2 and
@@ -151,7 +150,6 @@ fn fault_storm_at(threads: usize) {
         let plan = Arc::new(FaultPlan::seeded(seed, 3, 6));
         let rcfg = ResilienceConfig {
             checkpoint_every: 2,
-            guard_ranks: 3,
             recv_timeout: Duration::from_millis(80),
             ..ResilienceConfig::default()
         };
