@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::error::RestartError;
 use crate::vfs::{RealFs, Storage};
 
@@ -86,6 +86,10 @@ impl Snapshot {
 }
 
 /// Encode the shard `f` of `n_files` as a complete v2 file image.
+///
+/// The image is sized once and each payload is copied in bulk. Every byte
+/// is hashed once: each record's CRC is folded into the file CRC with
+/// [`Crc32::combine`] instead of hashing the whole image again.
 fn encode_file_v2(snapshot: &Snapshot, f: usize, n_files: usize) -> Vec<u8> {
     let mine: Vec<&(String, Vec<f64>)> = snapshot
         .vars
@@ -102,19 +106,20 @@ fn encode_file_v2(snapshot: &Snapshot, f: usize, n_files: usize) -> Vec<u8> {
     out.extend_from_slice(&(f as u32).to_le_bytes());
     out.extend_from_slice(&(n_files as u32).to_le_bytes());
     out.extend_from_slice(&(mine.len() as u32).to_le_bytes());
+    let mut file_crc = crc32(&out);
     for (name, data) in mine {
         let record_start = out.len();
         let nb = name.as_bytes();
         out.extend_from_slice(&(nb.len() as u32).to_le_bytes());
         out.extend_from_slice(nb);
         out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        for v in data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        out.extend(data.iter().flat_map(|v| v.to_le_bytes()));
         let var_crc = crc32(&out[record_start..]);
-        out.extend_from_slice(&var_crc.to_le_bytes());
+        file_crc = Crc32::combine(file_crc, var_crc, (out.len() - record_start) as u64);
+        let var_crc_bytes = var_crc.to_le_bytes();
+        file_crc = Crc32::combine(file_crc, crc32(&var_crc_bytes), 4);
+        out.extend_from_slice(&var_crc_bytes);
     }
-    let file_crc = crc32(&out);
     out.extend_from_slice(&file_crc.to_le_bytes());
     out.extend_from_slice(TRAILER_MAGIC);
     out
@@ -687,6 +692,32 @@ mod tests {
         s.push("oce.salt", vec![35.0; 500]).unwrap();
         s.push("land.pools", (0..231).map(|i| 1.0 / (i + 1) as f64).collect()).unwrap();
         s
+    }
+
+    /// Pins the `.esmr` v2 bytes: shard lengths, the CRC of each whole
+    /// shard and the CRC of everything before its trailer (the whole-shard
+    /// CRC alone is the same for every well-formed shard, because the
+    /// stored file CRC and the fixed trailer follow the covered bytes).
+    /// The literals were captured from a writer that hashed each image in
+    /// full, so any change to layout, shard assignment or checksum
+    /// derivation fails here.
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        let dir = scratch_dir("golden");
+        let paths = write_checkpoint(&dir, "restart", &sample(), 3).unwrap();
+        let want = [
+            (12077, 0xEB44_BD5B, 0x4198_82A1),
+            (8140, 0xEB44_BD5B, 0x83E8_30D3),
+            (4052, 0xEB44_BD5B, 0x5F72_3E31),
+        ];
+        assert_eq!(paths.len(), want.len());
+        for (p, (len, whole, body)) in paths.iter().zip(want) {
+            let bytes = fs::read(p).unwrap();
+            assert_eq!(bytes.len(), len, "{}", p.display());
+            assert_eq!(crc32(&bytes), whole, "{}", p.display());
+            assert_eq!(crc32(&bytes[..len - 8]), body, "{}", p.display());
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
